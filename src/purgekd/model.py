@@ -3,6 +3,19 @@ softmax inference, and exact-mean ensemble aggregation.
 
 Determinism contract: every random draw is derived from explicit seeds via
 mix_seed, so identical inputs always produce bit-identical parameters.
+
+Inference is row-independent by construction: the logits come from
+``np.einsum(..., optimize=False)``, which never calls BLAS, so each output row
+depends only on its own input row and not on how many rows share the batch.
+(A BLAS matmul picks its blocking by shape, so dropping one row could change
+the bits of the others.) Training keeps BLAS: replay always sees the batch
+shapes of the original run.
+
+Aggregation is correctly rounded and vectorized: every element of an
+ensemble mean is ``fsum(member values) / M``, computed with error-free
+TwoSum cascades over whole arrays; only elements whose rounding the cascade
+cannot certify (ties, near-ties, non-finite values) fall back to a per-element
+``math.fsum``.
 """
 
 from __future__ import annotations
@@ -125,12 +138,17 @@ def _unpack(arch: ModelArch, params: np.ndarray):
     return w1, b1, w2, params[o:]
 
 
+def _rowwise(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w without BLAS: a fixed-order reduction per output row."""
+    return np.einsum("nd,dk->nk", x, w, optimize=False)
+
+
 def _logits(arch: ModelArch, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     if arch.kind == "softmax_linear":
         w, b = _unpack(arch, params)
-        return x @ w + b
+        return _rowwise(x, w) + b
     w1, b1, w2, b2 = _unpack(arch, params)
-    return np.tanh(x @ w1 + b1) @ w2 + b2
+    return _rowwise(np.tanh(_rowwise(x, w1) + b1), w2) + b2
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -265,24 +283,56 @@ def aggregate(predictions) -> np.ndarray:
     reordering of the inputs.
     """
     preds = [np.asarray(p, dtype=np.float64) for p in predictions]
-    if not preds:
-        raise ValueError("aggregate needs at least one prediction")
-    k = len(preds[0])
-    if any(p.shape != (k,) for p in preds):
-        raise DimensionError("predictions differ in length")
-    return np.array([math.fsum(p[i] for p in preds) / len(preds) for i in range(k)])
+    if preds and any(p.ndim != 1 for p in preds):
+        raise DimensionError("predictions must be vectors")
+    return aggregate_batch([p[None, :] for p in preds])[0]
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray):
+    """Knuth's TwoSum: s = fl(a + b) and the exact error t, a + b == s + t."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
 
 
 def aggregate_batch(prediction_mats) -> np.ndarray:
-    """aggregate() applied row-wise to a list of (n, K) prediction matrices."""
+    """Element-wise mean of (n, K) prediction matrices, bit-equal to
+    ``math.fsum(values) / M`` for every element.
+
+    A TwoSum cascade over the M members yields the float sum s, the sum e of
+    its exact rounding errors, and a bound on the rounding of e itself; the
+    true sum is then r + c + delta with (r, c) = TwoSum(s, e) and |delta| <=
+    bound. An element keeps r when c +- bound lies strictly inside r's
+    rounding interval (half an ulp on either side), so r is the correctly
+    rounded sum; every other element (a tie, a near-tie, a non-finite value)
+    goes through math.fsum.
+    """
     mats = [np.asarray(m, dtype=np.float64) for m in prediction_mats]
     if not mats:
         raise ValueError("aggregate needs at least one prediction matrix")
-    n, k = mats[0].shape
-    out = np.empty((n, k))
-    for i in range(n):
-        for c in range(k):
-            out[i, c] = math.fsum(m[i, c] for m in mats) / len(mats)
+    if mats[0].ndim != 2 or any(m.shape != mats[0].shape for m in mats):
+        raise DimensionError("prediction matrices must share one (n, K) shape")
+    stack = np.stack(mats)
+    # non-finite values make NaNs here; they fail the test below and go to fsum
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = stack[0]
+        e = np.zeros_like(s)
+        bound = np.zeros_like(s)
+        for a in stack[1:]:
+            s, t = _two_sum(s, a)
+            e, err = _two_sum(e, t)
+            bound += np.abs(err)
+        # doubling covers the rounding of bound's own float sum of |err|
+        bound *= 2.0
+        r, c = _two_sum(s, e)
+        up = 0.5 * (np.nextafter(r, np.inf) - r)
+        down = 0.5 * (r - np.nextafter(r, -np.inf))
+        keep = (np.isfinite(up) & np.isfinite(down)
+                & (((c == 0.0) & (bound == 0.0))
+                   | ((c + bound < up) & (c - bound > -down))))
+    out = r / len(mats)
+    for i, j in zip(*np.nonzero(~keep)):
+        out[i, j] = math.fsum(stack[:, i, j]) / len(mats)
     return out
 
 

@@ -125,12 +125,6 @@ class StudentNetwork:
     def constituent_hyper(self, k: int) -> TrainHyper:
         return model.stream_hyper(self.hyper, SEED_STUDENT, k)
 
-    def predict_proba(self, features):
-        """Exact mean of all constituents' softmax outputs for one vector."""
-        if not self.constituents:
-            raise ValueError("student network has no trained constituents")
-        return model.aggregate([model.predict(s, features) for s in self.constituents])
-
     def predict_proba_batch(self, features):
         if not self.constituents:
             raise ValueError("student network has no trained constituents")
@@ -280,11 +274,6 @@ def train_student_network(dataset: Dataset, mapping: ConstituentMapping,
 
     return StudentNetwork(states, mapping, plan, dataset, mode, soft_labels,
                           provenance, budget, arch, hyper, seed, traces)
-
-
-def predict_student(network: StudentNetwork, features):
-    """Averaged constituent prediction for one feature vector."""
-    return network.predict_proba(features)
 
 
 def evaluate_accuracy(predictor, dataset: Dataset) -> float:

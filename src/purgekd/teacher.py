@@ -54,10 +54,6 @@ class TeacherEnsemble:
     def member_hyper(self, m: int) -> TrainHyper:
         return model.stream_hyper(self.hyper, SEED_TEACHER, m)
 
-    def predict_proba(self, features):
-        """Exact mean of all members' softmax outputs for one feature vector."""
-        return model.aggregate([model.predict(s, features) for s in self.members])
-
     def predict_proba_batch(self, features):
         return model.aggregate_batch(
             [model.predict_batch(s, features) for s in self.members])

@@ -381,6 +381,32 @@ def _allocate_counts(count: int, mix: dict) -> dict:
     return counts
 
 
+def _candidate_pools(system, kinds) -> dict:
+    """Point ids each generator kind may draw from, in plan order: one pool
+    per kind, and one per teacher member ("teacher_point", m)."""
+    student, teacher = system.student.plan, system.teacher.plan
+    pools: dict = {}
+    if "student_point" in kinds:
+        pools["student_point"] = student.all_ids()
+    if "teacher_point" in kinds:
+        for m in range(1, system.teacher.member_count + 1):
+            pools[("teacher_point", m)] = teacher.shard_ids(m)
+    if not any(k.startswith("simultaneous") for k in kinds):
+        return pools
+    shared = [p for p in student.all_ids() if p in teacher]
+    if "simultaneous" in kinds:
+        pools["simultaneous"] = list(shared)
+    if {"simultaneous_aligned", "simultaneous_misaligned"} & set(kinds):
+        owner = {m: (k, l)
+                 for k, ms in enumerate(system.student.mapping.assignment, start=1)
+                 for l, m in enumerate(ms, start=1)}
+        aligned = {p: owner[teacher.locate(p)[0]] == student.locate(p)[:2]
+                   for p in shared}
+        pools["simultaneous_aligned"] = [p for p in shared if aligned[p]]
+        pools["simultaneous_misaligned"] = [p for p in shared if not aligned[p]]
+    return pools
+
+
 def generate_requests(system, count: int, mix: dict, seed: int) -> list[UnlearnRequest]:
     """Deterministic request stream against a trained system.
 
@@ -393,29 +419,25 @@ def generate_requests(system, count: int, mix: dict, seed: int) -> list[UnlearnR
     if any(k.startswith("simultaneous") for k in counts) and not system.shared_dataset:
         raise ConfigError("simultaneous requests need a shared teacher/student dataset")
     rng = np.random.default_rng(seed)
-    used: set[int] = set()
     kinds = [k for k in GENERATOR_KINDS for _ in range(counts.get(k, 0))]
     order = rng.permutation(len(kinds))
+    pools = _candidate_pools(system, kinds)
     requests = []
     for seq, ix in enumerate(order, start=1):
         kind = kinds[ix]
-        if kind == "student_point":
-            pool = [p for p in system.student.plan.all_ids() if p not in used]
-        elif kind == "teacher_point":
+        if kind == "teacher_point":
             member = int(rng.integers(1, system.teacher.member_count + 1))
-            pool = [p for p in system.teacher.plan.shard_ids(member) if p not in used]
-        elif kind == "simultaneous":
-            pool = [p for p in system.student.plan.all_ids()
-                    if p not in used and p in system.teacher.plan]
+            pool = pools[(kind, member)]
         else:
-            want = kind == "simultaneous_aligned"
-            pool = [p for p in system.student.plan.all_ids()
-                    if p not in used and p in system.teacher.plan
-                    and is_aligned(system, p) == want]
+            pool = pools[kind]
         if not pool:
             raise ConfigError(f"no untargeted points left for kind {kind!r}")
         pid = int(pool[int(rng.integers(0, len(pool)))])
-        used.add(pid)
+        for ids in pools.values():
+            try:
+                ids.remove(pid)
+            except ValueError:
+                pass
         stream_kind = kind if kind in REQUEST_KINDS else "simultaneous"
         requests.append(UnlearnRequest(seq, stream_kind, pid))
     return requests

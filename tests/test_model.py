@@ -141,6 +141,31 @@ class TestPrediction:
             predict(state, np.zeros(5))
 
 
+class TestRowIndependence:
+    """A row's prediction depends on that row alone, never on which other
+    rows share the batch (BLAS matmuls break this at realistic shapes)."""
+
+    @pytest.mark.parametrize("d", [16, 32])
+    @pytest.mark.parametrize("kind", ["softmax_linear", "one_hidden_layer"])
+    def test_same_bits_in_any_batch(self, d, kind):
+        rng = np.random.default_rng(d)
+        arch = ModelArch(kind, d, 10, 32 if kind == "one_hidden_layer" else None)
+        state = init_model(arch, seed=3)
+        state.params[:] = rng.normal(scale=0.3, size=arch.param_count)
+        n = 313
+        x = rng.normal(size=(n, d))
+        full = predict_batch(state, x)
+        for i in (0, 1, 156, n - 2, n - 1):
+            np.testing.assert_array_equal(predict_batch(state, x[i:i + 1])[0], full[i])
+            np.testing.assert_array_equal(predict(state, x[i]), full[i])
+        for start in (1, 100, n - 1):
+            np.testing.assert_array_equal(predict_batch(state, x[start:]), full[start:])
+        for dropped in (0, n // 2, n - 1):
+            np.testing.assert_array_equal(
+                predict_batch(state, np.delete(x, dropped, axis=0)),
+                np.delete(full, dropped, axis=0))
+
+
 class TestDistillLoss:
     def test_cross_entropy_oracle(self):
         """Pure soft-target loss is -sum(t * log p); hand-computed case."""
@@ -287,6 +312,98 @@ class TestAggregation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
+
+
+def _fsum_mean(mats):
+    """Reference: one math.fsum per element, divided by the member count."""
+    n, k = mats[0].shape
+    return np.array([[math.fsum(m[i, c] for m in mats) / len(mats)
+                      for c in range(k)] for i in range(n)])
+
+
+def _hard_stack(rng, members, n, k=10):
+    """Member matrices whose elements mix softmax-like values with exact
+    zeros, subnormals, powers of two, and sums built to land on, or within
+    a hair of, a half-ulp tie (also where the float sum of rounding errors
+    itself rounds), in a random member order per element."""
+    out = np.empty((members, n, k))
+    for i in range(n):
+        for c in range(k):
+            base = float(rng.uniform(0.25, 1.0))
+            half = math.ulp(base) / 2
+            kind = int(rng.integers(7))
+            if kind == 0:
+                vals = rng.dirichlet(np.ones(members)) * base
+            elif kind == 1:
+                vals = np.zeros(members)
+            elif kind == 2:
+                vals = rng.integers(0, 4, members) * 5e-324
+            elif kind == 3:
+                vals = 2.0 ** -rng.integers(0, 60, members).astype(float)
+            elif kind == 6:
+                # just under half an ulp, then crumbs each too small to move
+                # the error sum: it rounds, and only its bound shows that the
+                # exact sum is past the tie
+                vals = np.full(members, math.ulp(half) / 8)
+                vals[0] = base
+                if members > 1:
+                    vals[1] = np.nextafter(half, 0.0)
+            else:
+                # base + half an ulp is an exact tie; cancelling pairs and a
+                # tiny nudge (kind 5) keep it at or right beside the tie
+                vals = np.zeros(members)
+                vals[0] = base
+                if members > 1:
+                    vals[1] = half
+                for q in range(2, members - 2, 2):
+                    y = float(rng.uniform(0, 1e-3))
+                    vals[q], vals[q + 1] = y, -y
+                if kind == 5 and members > 2:
+                    vals[-1] = half * 2.0 ** -int(rng.integers(1, 40)) * rng.choice([-1, 1])
+            out[:, i, c] = vals[rng.permutation(members)]
+    return list(out)
+
+
+class TestExactMean:
+    """aggregate_batch equals a per-element fsum(...)/M bit for bit."""
+
+    @pytest.mark.parametrize("members", [1, 2, 3, 16, 32])
+    @pytest.mark.parametrize("n", [1, 312])
+    def test_matches_fsum_on_softmax_stacks(self, members, n):
+        rng = np.random.default_rng(members * 1000 + n)
+        mats = [rng.dirichlet(np.full(10, 0.3), size=n) for _ in range(members)]
+        np.testing.assert_array_equal(aggregate_batch(mats).view(np.int64),
+                                      _fsum_mean(mats).view(np.int64))
+
+    @pytest.mark.parametrize("members", [1, 2, 3, 16, 32])
+    @pytest.mark.parametrize("n", [1, 312])
+    def test_matches_fsum_on_hard_values(self, members, n, monkeypatch):
+        rng = np.random.default_rng(members * 7 + n)
+        mats = _hard_stack(rng, members, n)
+        want = _fsum_mean(mats)
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
+        got = aggregate_batch(mats)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        if members > 1:
+            assert calls, "no element reached the fsum fallback"
+
+    def test_non_finite_values_follow_fsum(self):
+        mats = [np.array([[np.nan, np.inf, 1.0]]), np.array([[1.0, 1.0, np.inf]])]
+        np.testing.assert_array_equal(aggregate_batch(mats), _fsum_mean(mats))
+
+    def test_negative_zero_sums_to_positive_zero(self):
+        mats = [np.array([[-0.0, 0.5]]), np.array([[-0.0, -0.5]])]
+        got = aggregate_batch(mats)
+        np.testing.assert_array_equal(got.view(np.int64), _fsum_mean(mats).view(np.int64))
+        assert not np.signbit(got).any()
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            aggregate_batch([np.zeros((2, 3)), np.zeros((3, 3))])
+        with pytest.raises(DimensionError):
+            aggregate([np.zeros(3), np.zeros(4)])
 
 
 class TestSoftLabelChunk:

@@ -4,11 +4,11 @@ scratch-retrain verification oracle."""
 import numpy as np
 import pytest
 
-from purgekd import (ConfigError, NotFoundError, ParseError, UnlearnRequest,
-                     apply_request, generate_requests, is_aligned,
-                     parse_request_stream, snapshot, unlearn_simultaneous,
-                     unlearn_student, unlearn_teacher, verify_exactness,
-                     write_request_stream)
+from purgekd import (ConfigError, NotFoundError, ParseError, SyntheticSpec,
+                     UnlearnRequest, apply_request, gen_synthetic,
+                     generate_requests, is_aligned, parse_request_stream,
+                     snapshot, unlearn_simultaneous, unlearn_student,
+                     unlearn_teacher, verify_exactness, write_request_stream)
 
 
 class TestRequestStream:
@@ -58,6 +58,18 @@ class TestRequestStream:
         a = generate_requests(small_system, 12, mix, seed=9)
         b = generate_requests(small_system, 12, mix, seed=9)
         assert a == b
+
+    def test_generated_stream_is_pinned(self, small_system):
+        """The stream for a fixed system, count, mix and seed never changes."""
+        mix = {"student_point": 2, "teacher_point": 2, "simultaneous": 1,
+               "simultaneous_aligned": 1, "simultaneous_misaligned": 1}
+        requests = generate_requests(small_system, 14, mix, seed=21)
+        assert [(r.kind, r.point_id) for r in requests] == [
+            ("simultaneous", 123), ("simultaneous", 14), ("teacher_point", 3),
+            ("teacher_point", 73), ("student_point", 117), ("teacher_point", 102),
+            ("teacher_point", 218), ("student_point", 168), ("simultaneous", 45),
+            ("simultaneous", 0), ("simultaneous", 237), ("student_point", 187),
+            ("simultaneous", 42), ("student_point", 27)]
 
     def test_unknown_mix_kind(self, small_system):
         with pytest.raises(ConfigError):
@@ -236,6 +248,25 @@ class TestSequentialStreams:
         for request in requests:
             before = snapshot(system)
             _, report = apply_request(system, request)
+            verdict = verify_exactness(before, request, system)
+            assert verdict.passed, (request, verdict.failures)
+
+    @pytest.mark.parametrize("kind,hidden", [("softmax_linear", None),
+                                             ("one_hidden_layer", 16)])
+    def test_mixed_stream_verified_at_realistic_shape(self, system_factory,
+                                                      kind, hidden):
+        """d=32, K=10 and 1000 points: wide enough that a batch-shape
+        dependent inference kernel would make cached and fresh labels differ."""
+        dataset = gen_synthetic(SyntheticSpec(num_classes=10, points_per_class=100,
+                                              feature_dim=32, seed=13))
+        system = system_factory(dataset=dataset, arch_kind=kind, hidden=hidden,
+                                e_prime=2)
+        requests = generate_requests(
+            system, 12,
+            {"student_point": 1, "teacher_point": 1, "simultaneous": 1}, seed=3)
+        for request in requests:
+            before = snapshot(system)
+            apply_request(system, request)
             verdict = verify_exactness(before, request, system)
             assert verdict.passed, (request, verdict.failures)
 
