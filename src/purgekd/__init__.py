@@ -10,15 +10,14 @@ the predicted retraining speed-ups.
 """
 
 from .checkpoints import CheckpointKey, CheckpointRecord, CheckpointStore
-from .costmodel import (CostLedger, CostParams, LedgerEntry, SimulatedRun,
+from .costmodel import (CostLedger, LedgerEntry, SimulatedRun,
                         avg_retrain_steps, ceiling_effect_bound,
                         epochs_per_slice, expected_student_unlearn_fraction,
-                        predict_vs_measured, read_ledger_csv, retrain_steps,
-                        simulate_teacher_requests, speedup_vs_m, speedup_vs_n,
-                        student_side_cost_fraction, write_ledger_csv)
+                        read_ledger_csv, retrain_steps, simulate_teacher_requests,
+                        speedup_vs_m, speedup_vs_n, student_side_cost_fraction,
+                        write_ledger_csv)
 from .data import (Dataset, PartitionPlan, SyntheticSpec, even_split_sizes,
-                   gen_synthetic, load_csv, locate_point, make_partition,
-                   remove_point, write_csv)
+                   gen_synthetic, load_csv, make_partition, write_csv)
 from .errors import (ConfigError, DataError, DimensionError, NotFoundError,
                      ParseError, PartitionError, StorageError,
                      VerificationError)
@@ -34,32 +33,28 @@ from .teacher import (TeacherEnsemble, TrainBudget, teacher_unlearn,
                       train_teacher_ensemble)
 from .unlearning import (UnlearnReport, UnlearnRequest, apply_request,
                          generate_requests, is_aligned, parse_request_stream,
-                         unlearn_simultaneous, unlearn_student, unlearn_teacher,
                          verify_exactness, write_request_stream)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckpointKey", "CheckpointRecord", "CheckpointStore",
-    "ConfigError", "ConstituentMapping", "CostLedger", "CostParams",
-    "DataError", "Dataset", "DimensionError", "LedgerEntry", "MODES",
-    "ModelArch", "ModelState", "NotFoundError", "ParseError",
-    "PartitionError", "PartitionPlan", "SimulatedRun", "SoftLabelChunk",
-    "StorageError", "StudentNetwork", "SyntheticSpec", "TeacherEnsemble",
-    "TrainBudget", "TrainHyper", "TrainedSystem", "UnlearnReport",
-    "UnlearnRequest", "VerificationError", "aggregate", "aggregate_batch",
-    "apply_request", "avg_retrain_steps", "build_mapping",
-    "ceiling_effect_bound", "chunk_teacher_ids", "distill_loss",
-    "epochs_per_slice", "evaluate_accuracy",
+    "CheckpointKey", "CheckpointRecord", "CheckpointStore", "ConfigError",
+    "ConstituentMapping", "CostLedger", "DataError", "Dataset",
+    "DimensionError", "LedgerEntry", "MODES", "ModelArch", "ModelState",
+    "NotFoundError", "ParseError", "PartitionError", "PartitionPlan",
+    "SimulatedRun", "SoftLabelChunk", "StorageError", "StudentNetwork",
+    "SyntheticSpec", "TeacherEnsemble", "TrainBudget", "TrainHyper",
+    "TrainedSystem", "UnlearnReport", "UnlearnRequest", "VerificationError",
+    "aggregate", "aggregate_batch", "apply_request", "avg_retrain_steps",
+    "build_mapping", "ceiling_effect_bound", "chunk_teacher_ids",
+    "distill_loss", "epochs_per_slice", "evaluate_accuracy",
     "even_split_sizes", "expected_student_unlearn_fraction", "gen_synthetic",
-    "generate_requests", "init_model", "is_aligned", "load_csv",
-    "load_system", "locate_point", "loss_trace", "make_partition",
-    "mean_distill_loss", "mix_seed", "one_hot", "parse_request_stream",
-    "predict", "predict_batch", "predict_vs_measured", "read_ledger_csv",
-    "remove_point", "retrain_steps", "save_manifest",
-    "simulate_teacher_requests", "snapshot", "speedup_vs_m", "speedup_vs_n",
-    "student_side_cost_fraction", "subensemble_soft_labels", "teacher_unlearn",
-    "train", "train_student_network", "train_system", "train_teacher_ensemble",
-    "unlearn_simultaneous", "unlearn_student", "unlearn_teacher",
+    "generate_requests", "init_model", "is_aligned", "load_csv", "load_system",
+    "loss_trace", "make_partition", "mean_distill_loss", "mix_seed", "one_hot",
+    "parse_request_stream", "predict", "predict_batch", "read_ledger_csv",
+    "retrain_steps", "save_manifest", "simulate_teacher_requests", "snapshot",
+    "speedup_vs_m", "speedup_vs_n", "student_side_cost_fraction",
+    "subensemble_soft_labels", "teacher_unlearn", "train",
+    "train_student_network", "train_system", "train_teacher_ensemble",
     "verify_exactness", "write_csv", "write_ledger_csv", "write_request_stream",
 ]

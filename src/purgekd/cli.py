@@ -187,7 +187,7 @@ def cmd_train(args) -> int:
             teacher_hyper=_hyper_from_config(cfg, "teacher.hyper", seed),
             student_hyper=_hyper_from_config(cfg, "student.hyper", seed),
             store=store, seed=seed, mapping_sizes=mapping_sizes,
-            trace=_field(cfg, "trace_loss", bool, False), parallel=args.parallel)
+            trace=_field(cfg, "trace_loss", bool, False))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -397,8 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, help="seed override")
     train.add_argument("--set", action="append", metavar="PATH=VALUE",
                        help="override a config field by dotted path")
-    train.add_argument("--parallel", action="store_true",
-                       help="train constituents concurrently")
     train.set_defaults(func=cmd_train)
 
     unlearn = sub.add_parser("unlearn", help="apply an unlearning request stream")

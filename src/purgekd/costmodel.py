@@ -51,10 +51,6 @@ class CostLedger:
         self._entries.append(entry)
         return entry
 
-    def extend(self, entries) -> None:
-        for e in entries:
-            self.add(e.phase, e.role, e.constituent, e.steps)
-
     @property
     def entries(self) -> tuple[LedgerEntry, ...]:
         return tuple(self._entries)
@@ -244,60 +240,3 @@ def simulate_teacher_requests(m: int, n: int, r: int, e_prime: int,
         per_request.append(epochs[k] * sum(rounds[k][start:]))
     return SimulatedRun(tuple(per_request), int(initial), tuple(chunk_counts),
                         tuple(epochs))
-
-
-# ----------------------------------------------------------------------------
-# Prediction vs measurement
-# ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CostParams:
-    """Even-split configuration used by the closed forms (c = M / N exact)."""
-
-    N: int
-    M: int
-    c: int
-    r: int
-    e_prime: int
-    D: int
-
-    def __post_init__(self):
-        if min(self.N, self.M, self.c, self.r, self.e_prime, self.D) < 1:
-            raise ValueError("all cost parameters must be >= 1")
-        if self.N * self.c != self.M:
-            raise ValueError("closed forms require M = N c exactly")
-
-    @property
-    def e_r_exact(self) -> Fraction:
-        return epochs_per_slice(self.e_prime, self.c, self.r)[0]
-
-    @property
-    def e_r_practical(self) -> int:
-        return epochs_per_slice(self.e_prime, self.c, self.r)[1]
-
-
-def predict_vs_measured(ledger: CostLedger, params: CostParams,
-                        request_steps) -> dict:
-    """Compare measured per-request student retraining cost with the closed
-    forms. The full-retrain baseline is the student network's own initial
-    training step total, read from the ledger."""
-    request_steps = list(request_steps)
-    if not request_steps:
-        raise ValueError("request_steps is empty")
-    naive = ledger.total(phase="initial_train", role="student")
-    if naive <= 0:
-        raise ValueError("ledger has no student initial-training steps")
-    mean_steps = Fraction(sum(request_steps), len(request_steps))
-    measured = Fraction(naive) / mean_steps
-    eq_n = speedup_vs_n(params.N, params.c, params.r)
-    eq_m = speedup_vs_m(params.M, params.c, params.r)
-    return {
-        "params": {"N": params.N, "M": params.M, "c": params.c, "r": params.r,
-                   "e_prime": params.e_prime, "D": params.D},
-        "measured_mean_steps": float(mean_steps),
-        "predicted_ratio_eq3": float(eq_n),
-        "predicted_ratio_eq4": float(eq_m),
-        "measured_ratio": float(measured),
-        "relative_deviation": float(abs(measured - eq_n) / eq_n),
-        "ceiling_bound": float(ceiling_effect_bound(params.e_prime, params.c, params.r)),
-    }

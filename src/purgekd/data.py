@@ -166,8 +166,8 @@ class PartitionPlan:
     """Shard -> chunk -> slice hierarchy over point ids.
 
     Built once from a seeded uniform permutation; afterwards mutated only by
-    remove_point (single writer). Group sizes at every level differ by at
-    most one at construction time.
+    remove (single writer). Group sizes at every level differ by at most one
+    at construction time.
     """
 
     def __init__(self, slices, seed):
@@ -267,14 +267,3 @@ def make_partition(dataset: Dataset, num_shards: int, chunks_per_shard,
             shard_slices.append(_split(chunks[l], even_split_sizes(len(chunks[l]), r)))
         nested.append(shard_slices)
     return PartitionPlan(nested, seed)
-
-
-def locate_point(plan: PartitionPlan, point_id) -> tuple[int, int, int]:
-    """(shard, chunk, slice) of a point, or NotFoundError after removal."""
-    return plan.locate(point_id)
-
-
-def remove_point(plan: PartitionPlan, point_id) -> PartitionPlan:
-    """Delete one point from its slice, in place; returns the plan."""
-    plan.remove(point_id)
-    return plan

@@ -12,7 +12,6 @@ teacher ensemble, single_teacher labels chunk l with teacher l alone.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,8 +220,7 @@ def train_student_network(dataset: Dataset, mapping: ConstituentMapping,
                           teacher_members, budget: TrainBudget, arch: ModelArch,
                           hyper: TrainHyper, store: CheckpointStore,
                           ledger: CostLedger, mode: str, seed: int,
-                          slices_per_chunk, trace: bool = False,
-                          parallel: bool = False) -> StudentNetwork:
+                          slices_per_chunk, trace: bool = False) -> StudentNetwork:
     """Partition the dataset into one shard per constituent (chunk counts set
     by the mapping) and train every constituent.
 
@@ -241,36 +239,12 @@ def train_student_network(dataset: Dataset, mapping: ConstituentMapping,
     soft_labels: dict = {}
     provenance: dict = {}
     traces: dict | None = {} if trace else None
-
-    def run(k, sub_ledger, sub_soft, sub_prov):
-        tr = [] if trace else None
-        state = train_student_constituent(k, plan, dataset, mapping,
-                                          teacher_members, budget, arch, hyper,
-                                          store, sub_ledger, mode, seed,
-                                          sub_soft, sub_prov, tr)
-        return state, tr
-
-    if parallel:
-        subs = [(CostLedger(), {}, {}) for _ in range(n)]
-        with ThreadPoolExecutor() as pool:
-            futures = [pool.submit(run, k, *subs[k - 1]) for k in range(1, n + 1)]
-            results = [f.result() for f in futures]
-        states = []
-        for k in range(1, n + 1):
-            state, tr = results[k - 1]
-            states.append(state)
-            ledger.extend(subs[k - 1][0].entries)
-            soft_labels.update(subs[k - 1][1])
-            provenance.update(subs[k - 1][2])
-            if trace:
-                traces[k] = tr
-    else:
-        states = []
-        for k in range(1, n + 1):
-            state, tr = run(k, ledger, soft_labels, provenance)
-            states.append(state)
-            if trace:
-                traces[k] = tr
+    states = []
+    for k in range(1, n + 1):
+        tr = traces.setdefault(k, []) if trace else None
+        states.append(train_student_constituent(
+            k, plan, dataset, mapping, teacher_members, budget, arch, hyper,
+            store, ledger, mode, seed, soft_labels, provenance, tr))
 
     return StudentNetwork(states, mapping, plan, dataset, mode, soft_labels,
                           provenance, budget, arch, hyper, seed, traces)

@@ -46,7 +46,7 @@ def train_system(*, student_dataset: Dataset, teacher_dataset: Dataset | None,
                  e_prime: int, teacher_arch: ModelArch, student_arch: ModelArch,
                  teacher_hyper: TrainHyper, student_hyper: TrainHyper,
                  store: CheckpointStore, seed: int, mapping_sizes=None,
-                 trace: bool = False, parallel: bool = False) -> TrainedSystem:
+                 trace: bool = False) -> TrainedSystem:
     """Train the full pipeline: teacher ensemble first, then the distilled
     student network against it. teacher_dataset=None shares the student data."""
     shared = teacher_dataset is None
@@ -66,12 +66,11 @@ def train_system(*, student_dataset: Dataset, teacher_dataset: Dataset | None,
     ledger = CostLedger()
     teacher = train_teacher_ensemble(tds, teacher_members, teacher_slices, budget,
                                      teacher_arch, teacher_hyper, store, ledger,
-                                     seed, parallel)
+                                     seed)
     mapping = build_mapping(teacher_members, student_constituents, mapping_sizes)
     student = train_student_network(student_dataset, mapping, teacher.members,
                                     budget, student_arch, student_hyper, store,
-                                    ledger, mode, seed, slices_per_chunk, trace,
-                                    parallel)
+                                    ledger, mode, seed, slices_per_chunk, trace)
     return TrainedSystem(seed, shared, teacher, student, store, ledger, budget)
 
 

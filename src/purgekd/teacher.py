@@ -9,7 +9,6 @@ slices 1..j for the per-slice epoch budget each round.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import model
@@ -94,26 +93,16 @@ def train_teacher_member(m: int, plan: PartitionPlan, dataset: Dataset,
 
 def train_teacher_ensemble(dataset: Dataset, members: int, slices_per_member: int,
                            budget: TrainBudget, arch: ModelArch, hyper: TrainHyper,
-                           store: CheckpointStore, ledger: CostLedger, seed: int,
-                           parallel: bool = False) -> TeacherEnsemble:
+                           store: CheckpointStore, ledger: CostLedger,
+                           seed: int) -> TeacherEnsemble:
     """Partition the dataset into one shard per member and train each member
     independently on its own shard."""
     plan = make_partition(dataset, members, [1] * members,
                           [[slices_per_member]] * members,
                           mix_seed(seed, SEED_TEACHER_PLAN))
-    if parallel:
-        ledgers = [CostLedger() for _ in range(members)]
-        with ThreadPoolExecutor() as pool:
-            futures = [pool.submit(train_teacher_member, m, plan, dataset, budget,
-                                   arch, hyper, store, ledgers[m - 1], seed)
-                       for m in range(1, members + 1)]
-            states = [f.result() for f in futures]
-        for sub in ledgers:
-            ledger.extend(sub.entries)
-    else:
-        states = [train_teacher_member(m, plan, dataset, budget, arch, hyper,
-                                       store, ledger, seed)
-                  for m in range(1, members + 1)]
+    states = [train_teacher_member(m, plan, dataset, budget, arch, hyper,
+                                   store, ledger, seed)
+              for m in range(1, members + 1)]
     return TeacherEnsemble(states, plan, dataset, budget, arch, hyper, seed)
 
 

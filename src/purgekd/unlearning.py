@@ -1,12 +1,17 @@
-"""Unlearning request engine: student-side, teacher-side, and simultaneous
-point removal, plus scratch-retrain exactness verification.
+"""Unlearning request engine: one removal planner, one executor, and
+scratch-retrain exactness verification.
 
-Teacher-side removal follows the incremental-relabeling procedure: update
-the owning teacher member, regenerate soft labels only for the chunks whose
-labeling subensemble contains that member, revert each affected constituent
-to its last checkpoint from before the earliest such chunk, and replay
-training from there. Labels of earlier chunks are byte-unchanged because
-their subensembles never contained the updated member.
+Every request kind follows one rule: revert each affected model to the last
+checkpoint that saw neither the removed point nor a relabeled chunk, then
+replay. ``plan_removal`` reads the pre-removal system and names the teacher
+member to update (teacher-side and simultaneous requests) and, per student
+constituent, the first round to replay. ``apply_request`` carries the plan
+out: it updates the owning teacher member, drops a student point from its
+partition and cached labels, regenerates soft labels only for the chunks
+whose labeling subensemble contains the updated member, and replays each
+affected constituent once from its planned start. Labels of earlier chunks
+are byte-unchanged because their subensembles never contained the updated
+member. ``verify_exactness`` takes the models it checks from the same plan.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import csv
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,125 +109,82 @@ def _retrain_student_from(system, k: int, start_l: int, start_j: int) -> tuple[i
     return steps, f"{key}@{record.generation}"
 
 
-def _relabel_for_member(system, m: int) -> tuple[dict, tuple, int]:
-    """Regenerate soft labels of every chunk whose subensemble contains
-    member m, from the current (post-update) teacher states.
+def plan_removal(system, request: UnlearnRequest):
+    """What a request will touch, read from the system before it changes.
 
-    Returns ({k: earliest affected chunk}, relabeled (k, l) pairs, inference
-    count: one unit per point per consulted member)."""
-    net = system.student
-    affected: dict[int, int] = {}
-    relabeled = []
-    inference = 0
-    for (k, l), member_ids in sorted(net.provenance.items()):
-        if m not in member_ids:
-            continue
-        chunk, ids = generate_chunk_labels(
-            net.mode, net.mapping, system.teacher.members, net.plan,
-            net.dataset, k, l, net.hyper.temperature)
-        assert ids == member_ids
-        net.soft_labels[(k, l)] = chunk
-        relabeled.append((k, l))
-        count = len(chunk) * len(member_ids)
-        inference += count
-        system.ledger.add("relabel_inference", "student", k, count)
-        affected[k] = min(affected.get(k, l), l)
-    return affected, tuple(relabeled), inference
-
-
-def unlearn_student(system, point_id, request_id: int = 0):
-    """Remove a point from the student dataset's partition and replay the
-    owning constituent from the last checkpoint that never trained on it.
-    Soft labels are untouched except for dropping the removed pair."""
-    t0 = time.perf_counter()
-    k, l, j = system.student.plan.locate(point_id)
-    system.student.plan.remove(point_id)
-    system.student.soft_labels[(k, l)] = \
-        system.student.soft_labels[(k, l)].without(point_id)
-    steps, reverted = _retrain_student_from(system, k, l, j)
-    report = UnlearnReport(request_id, "student_point", int(point_id),
-                           affected_student_constituents=(k,),
-                           reverted_to=(reverted,), student_steps=steps,
-                           wall_time=time.perf_counter() - t0)
-    return system, report
-
-
-def unlearn_teacher(system, point_id, request_id: int = 0):
-    """Remove a point from the teacher dataset: SISA-update the owning
-    member, regenerate the labels it contributed to, and replay every
-    affected constituent from before its earliest relabeled chunk."""
-    t0 = time.perf_counter()
-    _, m, j, t_steps, t_reverted = teacher_unlearn(
-        system.teacher, point_id, system.store, system.ledger)
-    affected, relabeled, inference = _relabel_for_member(system, m)
-    reverted = [t_reverted]
-    s_steps = 0
-    for k in sorted(affected):
-        steps, rev = _retrain_student_from(system, k, affected[k], 1)
-        s_steps += steps
-        reverted.append(rev)
-    report = UnlearnReport(request_id, "teacher_point", int(point_id),
-                           affected_teacher_members=(m,),
-                           affected_student_constituents=tuple(sorted(affected)),
-                           reverted_to=tuple(reverted),
-                           chunks_relabeled=relabeled, teacher_steps=t_steps,
-                           student_steps=s_steps, relabel_inference=inference,
-                           wall_time=time.perf_counter() - t0)
-    return system, report
-
-
-def unlearn_simultaneous(system, point_id, request_id: int = 0):
-    """Remove a point present in both datasets at once.
-
-    Aligned case (the student location's chunk is labeled first by the
-    point's own teacher): one combined pass over a single constituent.
-    Misaligned case: the teacher-side and student-side procedures run on
-    their respective constituents; if they happen to share a constituent,
-    one replay from the earlier reversion point covers both."""
-    t0 = time.perf_counter()
-    if point_id not in system.student.plan:
-        raise NotFoundError(f"point {point_id} is not in the student partition")
-    if point_id not in system.teacher.plan:
-        raise NotFoundError(f"point {point_id} is not in the teacher partition")
-    k, l, j = system.student.plan.locate(point_id)
-
-    _, m, _, t_steps, t_reverted = teacher_unlearn(
-        system.teacher, point_id, system.store, system.ledger)
-    system.student.plan.remove(point_id)
-    system.student.soft_labels[(k, l)] = \
-        system.student.soft_labels[(k, l)].without(point_id)
-    affected, relabeled, inference = _relabel_for_member(system, m)
-
-    # merge the student-side starting round into the teacher-side reversion map
-    starts: dict[int, tuple[int, int]] = {kk: (ll, 1) for kk, ll in affected.items()}
-    if k in starts:
-        starts[k] = min(starts[k], (l, j))
-    else:
-        starts[k] = (l, j)
-
-    reverted = [t_reverted]
-    s_steps = 0
-    for kk in sorted(starts):
-        start_l, start_j = starts[kk]
-        steps, rev = _retrain_student_from(system, kk, start_l, start_j)
-        s_steps += steps
-        reverted.append(rev)
-    report = UnlearnReport(request_id, "simultaneous", int(point_id),
-                           affected_teacher_members=(m,),
-                           affected_student_constituents=tuple(sorted(starts)),
-                           reverted_to=tuple(reverted),
-                           chunks_relabeled=relabeled, teacher_steps=t_steps,
-                           student_steps=s_steps, relabel_inference=inference,
-                           wall_time=time.perf_counter() - t0)
-    return system, report
+    Returns (teacher member to update, or None for a student point;
+    {constituent k: first round (l, j) to replay}). A teacher-side update
+    replays each constituent from slice 1 of its first chunk whose labeling
+    subensemble contains the member; a student point replays its own
+    constituent from the round that first trained on it; a constituent hit
+    by both replays once, from the earlier start. Raises NotFoundError,
+    changing nothing, if the point is missing from a partition the request
+    needs."""
+    pid = request.point_id
+    if request.kind == "simultaneous":
+        for side, plan in (("student", system.student.plan),
+                           ("teacher", system.teacher.plan)):
+            if pid not in plan:
+                raise NotFoundError(f"point {pid} is not in the {side} partition")
+    member = None
+    starts: dict[int, tuple[int, int]] = {}
+    if request.kind != "student_point":
+        member, _, _ = system.teacher.plan.locate(pid)
+        for (k, l), member_ids in system.student.provenance.items():
+            if member in member_ids:
+                starts[k] = min(starts.get(k, (l, 1)), (l, 1))
+    if request.kind != "teacher_point":
+        k, l, j = system.student.plan.locate(pid)
+        starts[k] = min(starts.get(k, (l, j)), (l, j))
+    return member, starts
 
 
 def apply_request(system, request: UnlearnRequest):
-    if request.kind == "student_point":
-        return unlearn_student(system, request.point_id, request.request_id)
-    if request.kind == "teacher_point":
-        return unlearn_teacher(system, request.point_id, request.request_id)
-    return unlearn_simultaneous(system, request.point_id, request.request_id)
+    """Remove the request's point and replay what saw it.
+
+    The teacher side SISA-updates the owning member; the student side drops
+    the point from its partition and its cached soft labels. Every chunk
+    whose subensemble contains the updated member is then relabeled, and
+    each affected constituent replays once from its planned start, in
+    constituent order. Returns (system, report)."""
+    t0 = time.perf_counter()
+    member, starts = plan_removal(system, request)
+    pid = request.point_id
+    net = system.student
+    report = UnlearnReport(request.request_id, request.kind, int(pid),
+                           affected_student_constituents=tuple(sorted(starts)))
+    reverted = []
+    if member is not None:
+        _, _, _, report.teacher_steps, rev = teacher_unlearn(
+            system.teacher, pid, system.store, system.ledger)
+        report.affected_teacher_members = (member,)
+        reverted.append(rev)
+    if request.kind != "teacher_point":
+        k, l, _ = net.plan.locate(pid)
+        net.plan.remove(pid)
+        net.soft_labels[(k, l)] = net.soft_labels[(k, l)].without(pid)
+    if member is not None:
+        relabeled = []
+        for (k, l), member_ids in sorted(net.provenance.items()):
+            if member not in member_ids:
+                continue
+            chunk, ids = generate_chunk_labels(
+                net.mode, net.mapping, system.teacher.members, net.plan,
+                net.dataset, k, l, net.hyper.temperature)
+            assert ids == member_ids
+            net.soft_labels[(k, l)] = chunk
+            relabeled.append((k, l))
+            count = len(chunk) * len(member_ids)
+            report.relabel_inference += count
+            system.ledger.add("relabel_inference", "student", k, count)
+        report.chunks_relabeled = tuple(relabeled)
+    for k in sorted(starts):
+        steps, rev = _retrain_student_from(system, k, *starts[k])
+        report.student_steps += steps
+        reverted.append(rev)
+    report.reverted_to = tuple(reverted)
+    report.wall_time = time.perf_counter() - t0
+    return system, report
 
 
 def is_aligned(system, point_id) -> bool:
@@ -246,21 +208,6 @@ class VerificationVerdict:
     failures: tuple[str, ...] = ()
 
 
-def _affected_sets(system_before, request: UnlearnRequest):
-    """(teacher members, student constituents) the request will touch,
-    derived from the pre-removal system."""
-    if request.kind == "student_point":
-        k, _, _ = system_before.student.plan.locate(request.point_id)
-        return (), (k,)
-    m, _, _ = system_before.teacher.plan.locate(request.point_id)
-    prov = system_before.student.provenance
-    ks = {k for (k, _), ms in prov.items() if m in ms}
-    if request.kind == "simultaneous":
-        k, _, _ = system_before.student.plan.locate(request.point_id)
-        ks.add(k)
-    return (m,), tuple(sorted(ks))
-
-
 def verify_exactness(system_before, request: UnlearnRequest,
                      system_after) -> VerificationVerdict:
     """Independently retrain every affected constituent from scratch on the
@@ -269,7 +216,9 @@ def verify_exactness(system_before, request: UnlearnRequest,
     if not getattr(system_after, "deterministic", True):
         raise VerificationError(
             "system was not built with recorded seeds; exactness is undecidable")
-    t_ms, s_ks = _affected_sets(system_before, request)
+    member, starts = plan_removal(system_before, request)
+    t_ms = () if member is None else (member,)
+    s_ks = tuple(sorted(starts))
     failures = []
     max_diff = 0.0
 

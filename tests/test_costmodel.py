@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from purgekd import (CostLedger, CostParams, LedgerEntry, ceiling_effect_bound,
+from purgekd import (CostLedger, LedgerEntry, ceiling_effect_bound,
                      epochs_per_slice, expected_student_unlearn_fraction,
                      read_ledger_csv, retrain_steps, simulate_teacher_requests,
                      speedup_vs_m, speedup_vs_n, student_side_cost_fraction,
@@ -204,14 +204,3 @@ class TestSimulation:
         deviation = abs(run.measured_ratio - predicted) / predicted
         assert deviation < ceiling_effect_bound(e_prime, m // n, r) + \
             Fraction(1, 10)
-
-
-class TestCostParams:
-    def test_requires_divisibility(self):
-        with pytest.raises(ValueError):
-            CostParams(N=3, M=8, c=2, r=1, e_prime=10, D=800)
-
-    def test_exact_and_practical_epochs(self):
-        params = CostParams(N=4, M=8, c=2, r=2, e_prime=20, D=3200)
-        assert params.e_r_exact == Fraction(40, 5)
-        assert params.e_r_practical == 8

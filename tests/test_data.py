@@ -5,7 +5,7 @@ import pytest
 
 from purgekd import (Dataset, NotFoundError, ParseError, PartitionError,
                      SyntheticSpec, even_split_sizes, gen_synthetic, load_csv,
-                     locate_point, make_partition, remove_point, write_csv)
+                     make_partition, write_csv)
 from purgekd.errors import DimensionError
 
 
@@ -146,19 +146,19 @@ class TestPartitionPlan:
                               chunks_per_shard=2, slices_per_chunk=2, seed=8)
         rng = np.random.default_rng(2)
         for pid in rng.choice(small_dataset.ids, size=40, replace=False):
-            k, l, j = locate_point(plan, int(pid))
+            k, l, j = plan.locate(int(pid))
             assert int(pid) in plan.slice_ids(k, l, j)
 
     def test_locate_unknown_point(self, small_dataset):
         plan = make_partition(small_dataset, 2, 1, 1, seed=0)
         with pytest.raises(NotFoundError):
-            locate_point(plan, 99_999)
+            plan.locate(99_999)
 
     def test_remove_preserves_order_of_survivors(self, small_dataset):
         plan = make_partition(small_dataset, 2, 2, 2, seed=4)
         k, l, j = plan.locate(30)
         before = list(plan.slice_ids(k, l, j))
-        remove_point(plan, 30)
+        plan.remove(30)
         after = list(plan.slice_ids(k, l, j))
         before.remove(30)
         assert after == before

@@ -26,8 +26,8 @@ def teacher_parts(small_dataset, tmp_path):
 
 
 def _train_student(dataset, ensemble, store, ledger, mode="purge",
-                   constituents=2, slices=2, trace=False, parallel=False,
-                   e_prime=8, seed=11):
+                   constituents=2, slices=2, trace=False, e_prime=8,
+                   seed=11):
     mapping = build_mapping(ensemble.member_count, constituents)
     return train_student_network(
         dataset=dataset, mapping=mapping, teacher_members=ensemble.members,
@@ -36,7 +36,7 @@ def _train_student(dataset, ensemble, store, ledger, mode="purge",
                        dataset.num_classes),
         hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=2),
         store=store, ledger=ledger, mode=mode, seed=seed,
-        slices_per_chunk=slices, trace=trace, parallel=parallel)
+        slices_per_chunk=slices, trace=trace)
 
 
 class TestMapping:
@@ -170,24 +170,6 @@ class TestTrainingLayout:
                            CheckpointStore(tmp_path / "b"), CostLedger())
         for x, y in zip(a.constituents, b.constituents):
             np.testing.assert_array_equal(x.params, y.params)
-
-    def test_parallel_equals_serial(self, small_dataset, teacher_parts,
-                                    tmp_path):
-        ensemble, _, _ = teacher_parts
-        serial_ledger = CostLedger()
-        parallel_ledger = CostLedger()
-        a = _train_student(small_dataset, ensemble,
-                           CheckpointStore(tmp_path / "a"), serial_ledger)
-        b = _train_student(small_dataset, ensemble,
-                           CheckpointStore(tmp_path / "b"), parallel_ledger,
-                           parallel=True)
-        for x, y in zip(a.constituents, b.constituents):
-            np.testing.assert_array_equal(x.params, y.params)
-        assert serial_ledger.entries == parallel_ledger.entries
-        assert a.plan.raw_slices() == b.plan.raw_slices()
-        for key in a.soft_labels:
-            np.testing.assert_array_equal(a.soft_labels[key].probs,
-                                          b.soft_labels[key].probs)
 
     def test_modes_produce_different_students(self, small_dataset,
                                               teacher_parts, tmp_path):

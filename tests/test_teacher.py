@@ -173,24 +173,3 @@ class TestUnlearning:
         ensemble, ledger = _build(small_dataset, store)
         with pytest.raises(NotFoundError):
             teacher_unlearn(ensemble, 99_999, store, ledger)
-
-
-class TestParallelTraining:
-    def test_parallel_equals_serial(self, small_dataset, tmp_path):
-        serial_ledger = CostLedger()
-        parallel_ledger = CostLedger()
-        common = dict(dataset=small_dataset, members=4, slices_per_member=2,
-                      budget=TrainBudget(8),
-                      arch=ModelArch("softmax_linear", 5, 3),
-                      hyper=TrainHyper(learning_rate=0.1, batch_size=32,
-                                       seed=1),
-                      seed=11)
-        serial = train_teacher_ensemble(
-            store=CheckpointStore(tmp_path / "a"), ledger=serial_ledger,
-            parallel=False, **common)
-        parallel = train_teacher_ensemble(
-            store=CheckpointStore(tmp_path / "b"), ledger=parallel_ledger,
-            parallel=True, **common)
-        for x, y in zip(serial.members, parallel.members):
-            np.testing.assert_array_equal(x.params, y.params)
-        assert serial_ledger.entries == parallel_ledger.entries

@@ -1,4 +1,4 @@
-"""Unlearning engine: request streams, all three removal paths, and the
+"""Unlearning engine: request streams, all three request kinds, and the
 scratch-retrain verification oracle."""
 
 import numpy as np
@@ -7,8 +7,7 @@ import pytest
 from purgekd import (ConfigError, NotFoundError, ParseError, SyntheticSpec,
                      UnlearnRequest, apply_request, gen_synthetic,
                      generate_requests, is_aligned, parse_request_stream,
-                     snapshot, unlearn_simultaneous, unlearn_student,
-                     unlearn_teacher, verify_exactness, write_request_stream)
+                     snapshot, verify_exactness, write_request_stream)
 
 
 class TestRequestStream:
@@ -80,7 +79,7 @@ class TestStudentRemoval:
     def test_point_leaves_partition_and_labels(self, small_system):
         victim = small_system.student.plan.slice_ids(1, 2, 1)[0]
         k, l, _ = small_system.student.plan.locate(victim)
-        _, report = unlearn_student(small_system, victim)
+        _, report = apply_request(small_system, UnlearnRequest(0, "student_point", victim))
         assert victim not in small_system.student.plan
         assert victim not in small_system.student.soft_labels[(k, l)]
         assert report.affected_student_constituents == (k,)
@@ -93,8 +92,8 @@ class TestStudentRemoval:
         late_sys = system_factory()
         early = early_sys.student.plan.slice_ids(1, 1, 1)[0]
         late = late_sys.student.plan.slice_ids(1, 2, 2)[0]
-        _, early_report = unlearn_student(early_sys, early)
-        _, late_report = unlearn_student(late_sys, late)
+        _, early_report = apply_request(early_sys, UnlearnRequest(0, "student_point", early))
+        _, late_report = apply_request(late_sys, UnlearnRequest(0, "student_point", late))
         assert late_report.student_steps < early_report.student_steps
 
     def test_verified_exact(self, system_factory):
@@ -119,7 +118,7 @@ class TestTeacherRemoval:
         labels_before = {key: chunk.probs.copy()
                          for key, chunk in system.student.soft_labels.items()}
         victim = system.teacher.plan.slice_ids(m, 1, 1)[0]
-        _, report = unlearn_teacher(system, victim)
+        _, report = apply_request(system, UnlearnRequest(0, "teacher_point", victim))
 
         assert report.affected_teacher_members == (m,)
         assert report.chunks_relabeled == ((k, l),)
@@ -135,7 +134,7 @@ class TestTeacherRemoval:
         m = 3  # maps to student 2, position l=1
         assert system.student.mapping.owner_of(m) == (2, 1)
         victim = system.teacher.plan.slice_ids(m, 1, 2)[0]
-        _, report = unlearn_teacher(system, victim)
+        _, report = apply_request(system, UnlearnRequest(0, "teacher_point", victim))
         assert report.chunks_relabeled == ((2, 1), (2, 2))
         assert report.affected_student_constituents == (2,)
 
@@ -143,7 +142,7 @@ class TestTeacherRemoval:
         system = system_factory()
         other = system.student.constituents[1].params.copy()
         victim = system.teacher.plan.slice_ids(1, 1, 1)[0]  # owner (1, 1)
-        unlearn_teacher(system, victim)
+        apply_request(system, UnlearnRequest(0, "teacher_point", victim))
         np.testing.assert_array_equal(system.student.constituents[1].params,
                                       other)
 
@@ -164,7 +163,7 @@ class TestTeacherRemoval:
         k, l = system.student.mapping.owner_of(m)
         chunk_size = len(system.student.plan.chunk_ids(k, l))
         victim = system.teacher.plan.slice_ids(m, 1, 1)[0]
-        _, report = unlearn_teacher(system, victim)
+        _, report = apply_request(system, UnlearnRequest(0, "teacher_point", victim))
         assert report.relabel_inference == chunk_size * l
 
 
@@ -179,7 +178,7 @@ class TestSimultaneousRemoval:
     def test_aligned_single_constituent(self, system_factory):
         system = system_factory()
         pid = self._pick(system, want_aligned=True)
-        _, report = unlearn_simultaneous(system, pid)
+        _, report = apply_request(system, UnlearnRequest(0, "simultaneous", pid))
         assert len(report.affected_student_constituents) == 1
         assert len(report.affected_teacher_members) == 1
 
@@ -193,7 +192,7 @@ class TestSimultaneousRemoval:
             k, _, _ = system.student.plan.locate(pid)
             m, _, _ = system.teacher.plan.locate(pid)
             if system.student.mapping.owner_of(m)[0] != k:
-                _, report = unlearn_simultaneous(system, pid)
+                _, report = apply_request(system, UnlearnRequest(0, "simultaneous", pid))
                 assert len(report.affected_student_constituents) == 2
                 return
         pytest.skip("partition drew no cross-constituent misaligned point")
@@ -212,7 +211,7 @@ class TestSimultaneousRemoval:
     def test_point_gone_from_both_sides(self, system_factory):
         system = system_factory()
         pid = self._pick(system, want_aligned=False)
-        unlearn_simultaneous(system, pid)
+        apply_request(system, UnlearnRequest(0, "simultaneous", pid))
         assert pid not in system.student.plan
         assert pid not in system.teacher.plan
 
@@ -234,7 +233,90 @@ class TestSimultaneousRemoval:
         # ids overlap numerically but the datasets are distinct objects, so
         # simultaneous removal is refused for cross-dataset systems
         with pytest.raises(NotFoundError):
-            unlearn_simultaneous(system, 10_000)
+            apply_request(system, UnlearnRequest(0, "simultaneous", 10_000))
+
+
+class TestReportsPinned:
+    """The report of one request of each kind on the standard small system,
+    fixed to the last field (wall time aside): the checkpoints reverted to
+    and their order, the chunks relabeled, the steps and the inference."""
+
+    CASES = {
+        # student point at (k, l, j) = (2, 1, 2)
+        "student_point": (("student_point", 164), {
+            "affected_teacher_members": [], "affected_student_constituents": [2],
+            "reverted_to": ["student:2:1:1@1"], "chunks_relabeled": [],
+            "teacher_steps": 0, "student_steps": 1068, "relabel_inference": 0}),
+        # teacher 3, first in constituent 2's subensemble
+        "teacher_point": (("teacher_point", 180), {
+            "affected_teacher_members": [3], "affected_student_constituents": [2],
+            "reverted_to": ["teacher:3:1:1@1", "student:2:0:0@1"],
+            "chunks_relabeled": [[2, 1], [2, 2]],
+            "teacher_steps": 354, "student_steps": 1200,
+            "relabel_inference": 180}),
+        # student (1, 2, 2), teacher 2 labels chunk (1, 2) first
+        "aligned": (("simultaneous", 200), {
+            "affected_teacher_members": [2], "affected_student_constituents": [1],
+            "reverted_to": ["teacher:2:1:1@1", "student:1:1:2@1"],
+            "chunks_relabeled": [[1, 2]],
+            "teacher_steps": 354, "student_steps": 836,
+            "relabel_inference": 118}),
+        # student (1, 2, 2), teacher 3 belongs to constituent 2
+        "misaligned_two_constituents": (("simultaneous", 28), {
+            "affected_teacher_members": [3],
+            "affected_student_constituents": [1, 2],
+            "reverted_to": ["teacher:3:1:1@1", "student:1:2:1@1",
+                            "student:2:0:0@1"],
+            "chunks_relabeled": [[2, 1], [2, 2]],
+            "teacher_steps": 354, "student_steps": 1676,
+            "relabel_inference": 180}),
+        # student (1, 1, 2) comes before teacher 2's chunk (1, 2): one replay
+        # of constituent 1 from the earlier start covers both sides
+        "misaligned_one_constituent": (("simultaneous", 65), {
+            "affected_teacher_members": [2], "affected_student_constituents": [1],
+            "reverted_to": ["teacher:2:0:0@1", "student:1:1:1@1"],
+            "chunks_relabeled": [[1, 2]],
+            "teacher_steps": 528, "student_steps": 1068,
+            "relabel_inference": 120}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_report_is_pinned(self, system_factory, case):
+        (kind, pid), expected = self.CASES[case]
+        system = system_factory()
+        _, report = apply_request(system, UnlearnRequest(7, kind, pid))
+        doc = report.to_json()
+        del doc["wall_time"]
+        assert doc == {"request_id": 7, "kind": kind, "point_id": pid, **expected}
+
+
+class TestMissingPoint:
+    def _state(self, system):
+        return (system.teacher.plan.raw_slices(), system.student.plan.raw_slices(),
+                {key: (chunk.point_ids, chunk.probs.tobytes())
+                 for key, chunk in system.student.soft_labels.items()},
+                {key: system.store.latest_generation(key)
+                 for key in system.store.keys()})
+
+    @pytest.mark.parametrize("kind", ["student_point", "teacher_point",
+                                      "simultaneous"])
+    def test_rejected_before_any_change(self, system_factory, kind):
+        system = system_factory()
+        state = self._state(system)
+        with pytest.raises(NotFoundError):
+            apply_request(system, UnlearnRequest(1, kind, 10_000))
+        assert self._state(system) == state
+
+    @pytest.mark.parametrize("gone_from", ["student_point", "teacher_point"])
+    def test_simultaneous_needs_both_sides(self, system_factory, gone_from):
+        """A point already removed from one side is refused as a whole."""
+        system = system_factory()
+        pid = system.student.plan.slice_ids(1, 2, 1)[0]
+        apply_request(system, UnlearnRequest(1, gone_from, pid))
+        state = self._state(system)
+        with pytest.raises(NotFoundError):
+            apply_request(system, UnlearnRequest(2, "simultaneous", pid))
+        assert self._state(system) == state
 
 
 class TestSequentialStreams:
