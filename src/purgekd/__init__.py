@@ -19,12 +19,11 @@ from .costmodel import (CostLedger, LedgerEntry, SimulatedRun,
 from .data import (Dataset, PartitionPlan, SyntheticSpec, even_split_sizes,
                    gen_synthetic, load_csv, make_partition, write_csv)
 from .errors import (ConfigError, DataError, DimensionError, NotFoundError,
-                     ParseError, PartitionError, StorageError,
-                     VerificationError)
+                     ParseError, PartitionError, StorageError)
 from .model import (ModelArch, ModelState, SoftLabelChunk, TrainHyper,
-                    aggregate, aggregate_batch, distill_loss, init_model,
-                    mean_distill_loss, mix_seed, one_hot, predict,
-                    predict_batch, subensemble_soft_labels, train)
+                    aggregate_batch, distill_loss, init_model,
+                    mean_distill_loss, mix_seed, one_hot, predict_batch,
+                    subensemble_soft_labels, train)
 from .student import (MODES, ConstituentMapping, StudentNetwork, build_mapping,
                       chunk_teacher_ids, evaluate_accuracy, loss_trace,
                       train_student_network)
@@ -44,14 +43,13 @@ __all__ = [
     "NotFoundError", "ParseError", "PartitionError", "PartitionPlan",
     "SimulatedRun", "SoftLabelChunk", "StorageError", "StudentNetwork",
     "SyntheticSpec", "TeacherEnsemble", "TrainBudget", "TrainHyper",
-    "TrainedSystem", "UnlearnReport", "UnlearnRequest", "VerificationError",
-    "aggregate", "aggregate_batch", "apply_request", "avg_retrain_steps",
+    "TrainedSystem", "UnlearnReport", "UnlearnRequest", "aggregate_batch", "apply_request", "avg_retrain_steps",
     "build_mapping", "ceiling_effect_bound", "chunk_teacher_ids",
     "distill_loss", "epochs_per_slice", "evaluate_accuracy",
     "even_split_sizes", "expected_student_unlearn_fraction", "gen_synthetic",
     "generate_requests", "init_model", "is_aligned", "load_csv", "load_system",
     "loss_trace", "make_partition", "mean_distill_loss", "mix_seed", "one_hot",
-    "parse_request_stream", "predict", "predict_batch", "read_ledger_csv",
+    "parse_request_stream", "predict_batch", "read_ledger_csv",
     "retrain_steps", "save_manifest", "simulate_teacher_requests", "snapshot",
     "speedup_vs_m", "speedup_vs_n", "student_side_cost_fraction",
     "subensemble_soft_labels", "teacher_unlearn", "train",

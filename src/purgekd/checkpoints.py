@@ -5,8 +5,10 @@ file. Overwriting a logical key bumps the generation; superseded files are
 kept until prune() is called explicitly.
 
 Record encoding, all little-endian: magic ``PKC1``, format version, key
-fields, architecture descriptor, rng cursor, the label-provenance snapshot,
-then the parameter vector as raw IEEE-754 binary64 (bit-exact roundtrip).
+fields, architecture descriptor, rng cursor, the label-provenance snapshot
+(for a student key (k, l, j): the teacher ids of chunks 1..l, so it depends
+on the key alone), then the parameter vector as raw IEEE-754 binary64
+(bit-exact roundtrip).
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class CheckpointRecord:
     arch: ModelArch
     params: np.ndarray
     rng_cursor: int
-    provenance: tuple = ()  # ((chunk, (teacher ids...)), ...) for students
+    provenance: tuple = ()  # ((chunk, (teacher ids...)), ...) of chunks 1..l
     generation: int = 0
     byte_size: int = 0
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from .costmodel import (CostLedger, read_ledger_csv, simulate_teacher_requests,
                         speedup_vs_n, write_ledger_csv)
 from .data import SyntheticSpec, gen_synthetic, load_csv
-from .errors import ConfigError, DataError, NotFoundError, VerificationError
+from .errors import ConfigError, DataError, NotFoundError
 from .model import ModelArch, TrainHyper, mix_seed
 from .student import MODES, evaluate_accuracy
 from .system import load_system, save_manifest, snapshot, train_system
@@ -186,8 +186,7 @@ def cmd_train(args) -> int:
                                            student_dataset.num_classes),
             teacher_hyper=_hyper_from_config(cfg, "teacher.hyper", seed),
             student_hyper=_hyper_from_config(cfg, "student.hyper", seed),
-            store=store, seed=seed, mapping_sizes=mapping_sizes,
-            trace=_field(cfg, "trace_loss", bool, False))
+            store=store, seed=seed, mapping_sizes=mapping_sizes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -201,8 +200,10 @@ def cmd_train(args) -> int:
         "teacher_members": members,
         "student_constituents": constituents,
         "dataset_points": len(student_dataset),
-        "teacher_accuracy": evaluate_accuracy(system.teacher, system.teacher.dataset),
-        "student_accuracy": evaluate_accuracy(system.student, system.student.dataset),
+        "teacher_accuracy": evaluate_accuracy(system.teacher.members,
+                                              system.teacher.dataset),
+        "student_accuracy": evaluate_accuracy(system.student.constituents,
+                                              system.student.dataset),
         "initial_teacher_steps": system.ledger.total("initial_train", "teacher"),
         "initial_student_steps": system.ledger.total("initial_train", "student"),
     }
@@ -434,7 +435,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (VerificationFailure, VerificationError) as exc:
+    except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

@@ -28,6 +28,3 @@ class NotFoundError(DataError):
 class StorageError(Exception):
     """A checkpoint could not be written or read back."""
 
-
-class VerificationError(Exception):
-    """Exactness verification could not be carried out."""

@@ -157,15 +157,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def predict(state: ModelState, features, temperature: float = 1.0) -> np.ndarray:
-    """Class probability vector for one feature vector."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.shape != (state.arch.feature_dim,):
-        raise DimensionError(
-            f"expected {state.arch.feature_dim} features, got shape {x.shape}")
-    return _softmax(_logits(state.arch, state.params, x[None, :]) / temperature)[0]
-
-
 def predict_batch(state: ModelState, features, temperature: float = 1.0) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != state.arch.feature_dim:
@@ -274,18 +265,6 @@ def train(state: ModelState, features, soft_labels, hard_labels, epochs: int,
             tb = tp[s0:s0 + hyper.batch_size]
             params -= hyper.learning_rate * _loss_gradient(state.arch, params, xb, tb)
     return ModelState(state.arch, params, state.rng_cursor + 1)
-
-
-def aggregate(predictions) -> np.ndarray:
-    """Component-wise arithmetic mean of probability vectors.
-
-    Uses exact summation, so the result is invariant (bit-for-bit) under any
-    reordering of the inputs.
-    """
-    preds = [np.asarray(p, dtype=np.float64) for p in predictions]
-    if preds and any(p.ndim != 1 for p in preds):
-        raise DimensionError("predictions must be vectors")
-    return aggregate_batch([p[None, :] for p in preds])[0]
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray):

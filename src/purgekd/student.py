@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .checkpoints import CheckpointKey, CheckpointStore, state_record
+from .checkpoints import CheckpointKey, CheckpointStore, record_state, state_record
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan, even_split_sizes, make_partition
 from .errors import NotFoundError
@@ -102,6 +102,13 @@ def chunk_teacher_ids(mode: str, mapping: ConstituentMapping, k: int,
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _label_provenance(mode: str, mapping: ConstituentMapping) -> dict:
+    """(k, l) -> teacher member ids labeling chunk l of constituent k."""
+    return {(k, l): chunk_teacher_ids(mode, mapping, k, l)
+            for k in range(1, mapping.num_students + 1)
+            for l in range(1, mapping.chunk_count(k) + 1)}
+
+
 @dataclass
 class StudentNetwork:
     constituents: list[ModelState]
@@ -110,30 +117,29 @@ class StudentNetwork:
     dataset: Dataset
     mode: str
     soft_labels: dict  # (k, l) -> SoftLabelChunk
-    provenance: dict   # (k, l) -> tuple of teacher member ids
     budget: TrainBudget
     arch: ModelArch
     hyper: TrainHyper
     seed: int
-    traces: dict | None = None  # k -> [(round, mean loss)] when tracing was on
 
     @property
     def constituent_count(self) -> int:
         return len(self.constituents)
 
+    @property
+    def provenance(self) -> dict:
+        """(k, l) -> teacher member ids labeling chunk l of constituent k;
+        fixed by the mode and the mapping."""
+        return _label_provenance(self.mode, self.mapping)
+
     def constituent_hyper(self, k: int) -> TrainHyper:
         return model.stream_hyper(self.hyper, SEED_STUDENT, k)
 
-    def predict_proba_batch(self, features):
-        if not self.constituents:
-            raise ValueError("student network has no trained constituents")
-        return model.aggregate_batch(
-            [model.predict_batch(s, features) for s in self.constituents])
 
-
-def _provenance_snapshot(provenance: dict, k: int) -> tuple:
-    return tuple(sorted((l, tuple(ms)) for (kk, l), ms in provenance.items()
-                        if kk == k))
+def _provenance_snapshot(provenance: dict, k: int, l: int) -> tuple:
+    """Provenance of constituent k's chunks 1..l, as a checkpoint records it."""
+    return tuple(sorted((i, tuple(ms)) for (kk, i), ms in provenance.items()
+                        if kk == k and i <= l))
 
 
 def _gather_round(plan: PartitionPlan, dataset: Dataset, soft_labels: dict,
@@ -159,7 +165,7 @@ def run_student_round(state: ModelState, k: int, l: int, j: int,
                       plan: PartitionPlan, dataset: Dataset, soft_labels: dict,
                       provenance: dict, epochs: int, hyper_k: TrainHyper,
                       alpha: float, store: CheckpointStore, ledger: CostLedger,
-                      phase: str, trace: list | None = None):
+                      phase: str):
     """One slice round of constituent k: train on the cumulative data, store
     the checkpoint, account the steps. Returns (state, steps)."""
     ids, x, soft, hard = _gather_round(plan, dataset, soft_labels, k, l, j)
@@ -167,23 +173,18 @@ def run_student_round(state: ModelState, k: int, l: int, j: int,
     steps = len(ids) * epochs
     ledger.add(phase, "student", k, steps)
     key = CheckpointKey("student", k, l, j)
-    store.save(key, state_record(key, state, _provenance_snapshot(provenance, k)))
-    if trace is not None:
-        round_no = sum(plan.slices_in_chunk(k, i) for i in range(1, l)) + j
-        trace.append((round_no, model.mean_distill_loss(state, x, soft, hard, alpha)))
+    store.save(key, state_record(key, state, _provenance_snapshot(provenance, k, l)))
     return state, steps
 
 
 def generate_chunk_labels(mode: str, mapping: ConstituentMapping,
                           teacher_members, plan: PartitionPlan, dataset: Dataset,
-                          k: int, l: int, temperature: float) -> tuple[
-                              SoftLabelChunk, tuple[int, ...]]:
+                          k: int, l: int, temperature: float) -> SoftLabelChunk:
     """Soft labels for chunk (k, l) under the given labeling mode."""
-    member_ids = chunk_teacher_ids(mode, mapping, k, l)
     ids = plan.chunk_ids(k, l)
-    chunk = subensemble_soft_labels([teacher_members[m - 1] for m in member_ids],
-                                    ids, dataset.features_for(ids), temperature)
-    return chunk, member_ids
+    return subensemble_soft_labels(
+        [teacher_members[m - 1] for m in chunk_teacher_ids(mode, mapping, k, l)],
+        ids, dataset.features_for(ids), temperature)
 
 
 def train_student_constituent(k: int, plan: PartitionPlan, dataset: Dataset,
@@ -191,28 +192,26 @@ def train_student_constituent(k: int, plan: PartitionPlan, dataset: Dataset,
                               budget: TrainBudget, arch: ModelArch,
                               hyper: TrainHyper, store: CheckpointStore,
                               ledger: CostLedger, mode: str, seed: int,
-                              soft_labels: dict, provenance: dict,
-                              trace: list | None = None) -> ModelState:
+                              soft_labels: dict) -> ModelState:
     """Full training pass of one constituent: generate chunk labels as each
-    chunk arrives, then run its slice rounds. Fills soft_labels/provenance."""
+    chunk arrives, then run its slice rounds. Fills soft_labels."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     c_k = plan.chunks_in_shard(k)
+    provenance = _label_provenance(mode, mapping)
     epochs = budget.epochs_for(plan.total_slices_in_shard(k))
     state = model.init_model(arch, mix_seed(seed, SEED_STUDENT, k))
     init_key = CheckpointKey("student", k, 0, 0)
     store.save(init_key, state_record(init_key, state))
     hyper_k = model.stream_hyper(hyper, SEED_STUDENT, k)
     for l in range(1, c_k + 1):
-        chunk, member_ids = generate_chunk_labels(
+        soft_labels[(k, l)] = generate_chunk_labels(
             mode, mapping, teacher_members, plan, dataset, k, l, hyper.temperature)
-        soft_labels[(k, l)] = chunk
-        provenance[(k, l)] = member_ids
         for j in range(1, plan.slices_in_chunk(k, l) + 1):
             state, _ = run_student_round(state, k, l, j, plan, dataset,
                                          soft_labels, provenance, epochs, hyper_k,
                                          hyper.hard_label_weight, store, ledger,
-                                         "initial_train", trace)
+                                         "initial_train")
     return state
 
 
@@ -220,7 +219,7 @@ def train_student_network(dataset: Dataset, mapping: ConstituentMapping,
                           teacher_members, budget: TrainBudget, arch: ModelArch,
                           hyper: TrainHyper, store: CheckpointStore,
                           ledger: CostLedger, mode: str, seed: int,
-                          slices_per_chunk, trace: bool = False) -> StudentNetwork:
+                          slices_per_chunk) -> StudentNetwork:
     """Partition the dataset into one shard per constituent (chunk counts set
     by the mapping) and train every constituent.
 
@@ -237,35 +236,34 @@ def train_student_network(dataset: Dataset, mapping: ConstituentMapping,
                           mix_seed(seed, SEED_STUDENT_PLAN))
 
     soft_labels: dict = {}
-    provenance: dict = {}
-    traces: dict | None = {} if trace else None
-    states = []
-    for k in range(1, n + 1):
-        tr = traces.setdefault(k, []) if trace else None
-        states.append(train_student_constituent(
-            k, plan, dataset, mapping, teacher_members, budget, arch, hyper,
-            store, ledger, mode, seed, soft_labels, provenance, tr))
-
+    states = [train_student_constituent(
+        k, plan, dataset, mapping, teacher_members, budget, arch, hyper, store,
+        ledger, mode, seed, soft_labels) for k in range(1, n + 1)]
     return StudentNetwork(states, mapping, plan, dataset, mode, soft_labels,
-                          provenance, budget, arch, hyper, seed, traces)
+                          budget, arch, hyper, seed)
 
 
-def evaluate_accuracy(predictor, dataset: Dataset) -> float:
-    """Fraction of points whose argmax predicted class (lowest index wins
-    ties) equals the hard label. predictor is anything with a
-    predict_proba_batch method, or a bare ModelState."""
+def evaluate_accuracy(states, dataset: Dataset) -> float:
+    """Fraction of points whose argmax of the states' exact mean prediction
+    (lowest index wins ties) equals the hard label."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate accuracy on an empty dataset")
-    if isinstance(predictor, ModelState):
-        probs = model.predict_batch(predictor, dataset.features)
-    else:
-        probs = predictor.predict_proba_batch(dataset.features)
+    probs = model.aggregate_batch([model.predict_batch(s, dataset.features)
+                                   for s in states])
     return float((np.argmax(probs, axis=1) == dataset.labels).mean())
 
 
-def loss_trace(network: StudentNetwork, k: int):
+def loss_trace(network: StudentNetwork, store: CheckpointStore, k: int):
     """Per-round (round index, mean distillation loss over that round's
-    cumulative data at round end) for constituent k's training run."""
-    if network.traces is None:
-        raise ValueError("loss tracing was not enabled for this training run")
-    return list(network.traces[k])
+    cumulative data at round end) for constituent k, read from the latest
+    generation of each round checkpoint in store."""
+    plan = network.plan
+    trace = []
+    for l in range(1, plan.chunks_in_shard(k) + 1):
+        for j in range(1, plan.slices_in_chunk(k, l) + 1):
+            _, x, soft, hard = _gather_round(plan, network.dataset,
+                                             network.soft_labels, k, l, j)
+            state = record_state(store.load(CheckpointKey("student", k, l, j)))
+            trace.append((len(trace) + 1, model.mean_distill_loss(
+                state, x, soft, hard, network.hyper.hard_label_weight)))
+    return trace

@@ -37,7 +37,6 @@ class TrainedSystem:
     store: CheckpointStore
     ledger: CostLedger
     budget: TrainBudget
-    deterministic: bool = True
 
 
 def train_system(*, student_dataset: Dataset, teacher_dataset: Dataset | None,
@@ -45,8 +44,8 @@ def train_system(*, student_dataset: Dataset, teacher_dataset: Dataset | None,
                  student_constituents: int, slices_per_chunk, mode: str,
                  e_prime: int, teacher_arch: ModelArch, student_arch: ModelArch,
                  teacher_hyper: TrainHyper, student_hyper: TrainHyper,
-                 store: CheckpointStore, seed: int, mapping_sizes=None,
-                 trace: bool = False) -> TrainedSystem:
+                 store: CheckpointStore, seed: int,
+                 mapping_sizes=None) -> TrainedSystem:
     """Train the full pipeline: teacher ensemble first, then the distilled
     student network against it. teacher_dataset=None shares the student data."""
     shared = teacher_dataset is None
@@ -70,7 +69,7 @@ def train_system(*, student_dataset: Dataset, teacher_dataset: Dataset | None,
     mapping = build_mapping(teacher_members, student_constituents, mapping_sizes)
     student = train_student_network(student_dataset, mapping, teacher.members,
                                     budget, student_arch, student_hyper, store,
-                                    ledger, mode, seed, slices_per_chunk, trace)
+                                    ledger, mode, seed, slices_per_chunk)
     return TrainedSystem(seed, shared, teacher, student, store, ledger, budget)
 
 
@@ -83,11 +82,10 @@ def snapshot(system: TrainedSystem) -> TrainedSystem:
                               t.dataset, t.budget, t.arch, t.hyper, t.seed)
     student = StudentNetwork([c.copy() for c in s.constituents], s.mapping,
                              s.plan.copy(), s.dataset, s.mode,
-                             dict(s.soft_labels), dict(s.provenance), s.budget,
-                             s.arch, s.hyper, s.seed, s.traces)
+                             dict(s.soft_labels), s.budget, s.arch, s.hyper,
+                             s.seed)
     return TrainedSystem(system.seed, system.shared_dataset, teacher, student,
-                         system.store, system.ledger, system.budget,
-                         system.deterministic)
+                         system.store, system.ledger, system.budget)
 
 
 # ----------------------------------------------------------------------------
@@ -96,7 +94,7 @@ def snapshot(system: TrainedSystem) -> TrainedSystem:
 
 def _dataset_doc(ds: Dataset) -> dict:
     return {"ids": ds.ids.tolist(), "labels": ds.labels.tolist(),
-            "features": [[float(v) for v in row] for row in ds.features],
+            "features": ds.features.tolist(),
             "num_classes": ds.num_classes}
 
 
@@ -157,10 +155,8 @@ def save_manifest(system: TrainedSystem, path, checkpoint_dir: str) -> None:
             "dataset": _dataset_doc(s.dataset),
             "soft_labels": {
                 f"{k},{l}": {"ids": list(chunk.point_ids),
-                             "probs": [[float(v) for v in row] for row in chunk.probs]}
+                             "probs": chunk.probs.tolist()}
                 for (k, l), chunk in sorted(s.soft_labels.items())},
-            "provenance": {f"{k},{l}": list(ms)
-                           for (k, l), ms in sorted(s.provenance.items())},
         },
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -205,10 +201,6 @@ def load_system(path) -> TrainedSystem:
     for key, entry in sdoc["soft_labels"].items():
         k, l = (int(v) for v in key.split(","))
         soft_labels[(k, l)] = SoftLabelChunk(entry["ids"], entry["probs"])
-    provenance = {}
-    for key, ms in sdoc["provenance"].items():
-        k, l = (int(v) for v in key.split(","))
-        provenance[(k, l)] = tuple(ms)
     constituents = []
     for k in range(1, sdoc["constituents"] + 1):
         c_k = student_plan.chunks_in_shard(k)
@@ -216,7 +208,7 @@ def load_system(path) -> TrainedSystem:
         constituents.append(record_state(
             store.load(CheckpointKey("student", k, c_k, r_last))))
     student = StudentNetwork(constituents, mapping, student_plan, student_dataset,
-                             sdoc["mode"], soft_labels, provenance, budget,
+                             sdoc["mode"], soft_labels, budget,
                              _arch_from(sdoc["arch"]), _hyper_from(sdoc["hyper"]),
                              seed)
     return TrainedSystem(seed, shared, teacher, student, store, CostLedger(),

@@ -53,25 +53,23 @@ class TeacherEnsemble:
     def member_hyper(self, m: int) -> TrainHyper:
         return model.stream_hyper(self.hyper, SEED_TEACHER, m)
 
-    def predict_proba_batch(self, features):
-        return model.aggregate_batch(
-            [model.predict_batch(s, features) for s in self.members])
-
 
 def _teacher_round(state: ModelState, m: int, j: int, plan: PartitionPlan,
                    dataset: Dataset, epochs: int, member_hyper: TrainHyper,
                    store: CheckpointStore, ledger: CostLedger,
-                   phase: str) -> ModelState:
-    """One slice round: train on cumulative slices 1..j, checkpoint, account."""
+                   phase: str):
+    """One slice round: train on cumulative slices 1..j, checkpoint, account.
+    Returns (state, steps)."""
     ids = [p for q in range(1, j + 1) for p in plan.slice_ids(m, 1, q)]
     x = dataset.features_for(ids)
     hard = dataset.labels_for(ids)
     state = model.train(state, x, one_hot(hard, dataset.num_classes), hard,
                         epochs, member_hyper)
-    ledger.add(phase, "teacher", m, len(ids) * epochs)
+    steps = len(ids) * epochs
+    ledger.add(phase, "teacher", m, steps)
     store.save(CheckpointKey("teacher", m, 1, j), state_record(
         CheckpointKey("teacher", m, 1, j), state))
-    return state
+    return state, steps
 
 
 def train_teacher_member(m: int, plan: PartitionPlan, dataset: Dataset,
@@ -86,8 +84,8 @@ def train_teacher_member(m: int, plan: PartitionPlan, dataset: Dataset,
         CheckpointKey("teacher", m, 0, 0), state))
     member_hyper = model.stream_hyper(hyper, SEED_TEACHER, m)
     for j in range(1, r_t + 1):
-        state = _teacher_round(state, m, j, plan, dataset, epochs, member_hyper,
-                               store, ledger, "initial_train")
+        state, _ = _teacher_round(state, m, j, plan, dataset, epochs,
+                                  member_hyper, store, ledger, "initial_train")
     return state
 
 
@@ -126,10 +124,9 @@ def teacher_unlearn(ensemble: TeacherEnsemble, point_id, store: CheckpointStore,
     member_hyper = ensemble.member_hyper(m)
     steps = 0
     for q in range(j, r_t + 1):
-        steps += epochs * sum(len(ensemble.plan.slice_ids(m, 1, i))
-                              for i in range(1, q + 1))
-        state = _teacher_round(state, m, q, ensemble.plan, ensemble.dataset,
-                               epochs, member_hyper, store, ledger,
-                               "teacher_retrain")
+        state, n = _teacher_round(state, m, q, ensemble.plan, ensemble.dataset,
+                                  epochs, member_hyper, store, ledger,
+                                  "teacher_retrain")
+        steps += n
     ensemble.members[m - 1] = state
     return ensemble, m, j, steps, f"{revert_key}@{record.generation}"

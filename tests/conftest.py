@@ -43,7 +43,7 @@ def system_factory(tmp_path):
 
     def build(mode="purge", members=4, constituents=2, teacher_slices=2,
               slices_per_chunk=2, e_prime=8, seed=11, dataset=None,
-              arch_kind="softmax_linear", hidden=None, trace=False):
+              arch_kind="softmax_linear", hidden=None):
         counter[0] += 1
         if dataset is None:
             dataset = gen_synthetic(SyntheticSpec(
@@ -59,6 +59,6 @@ def system_factory(tmp_path):
             teacher_hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=1),
             student_hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=2),
             store=CheckpointStore(tmp_path / f"ckpt{counter[0]}"),
-            seed=seed, trace=trace)
+            seed=seed)
 
     return build

@@ -285,19 +285,18 @@ def parity_runs(tmp_path_factory):
             modes = ("purge", "naive_sisa", "single_teacher") if n == 1 \
                 else ("purge", "naive_sisa")
             for mode in modes:
-                trace = n == 1 and mode in jumps
+                store = CheckpointStore(root / f"s{seed}_{n}_{mode}")
                 net = train_student_network(
                     dataset=train_ds, mapping=build_mapping(members, n),
                     teacher_members=teacher.members,
                     budget=TrainBudget(e_prime), arch=student_arch,
                     hyper=TrainHyper(learning_rate=0.3, batch_size=16, seed=2),
-                    store=CheckpointStore(root / f"s{seed}_{n}_{mode}"),
-                    ledger=CostLedger(), mode=mode, seed=10 + seed,
-                    slices_per_chunk=r, trace=trace)
+                    store=store, ledger=CostLedger(), mode=mode,
+                    seed=10 + seed, slices_per_chunk=r)
                 accuracy.setdefault((n, mode), []).append(
-                    evaluate_accuracy(net, test_ds))
-                if trace:
-                    losses = [v for _, v in loss_trace(net, 1)]
+                    evaluate_accuracy(net.constituents, test_ds))
+                if n == 1 and mode in jumps:
+                    losses = [v for _, v in loss_trace(net, store, 1)]
                     jumps[mode].append(max(abs(b - a) for a, b in
                                            zip(losses, losses[1:])))
     return dict(accuracy=accuracy, jumps=jumps)

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from purgekd import (DimensionError, ModelArch, SoftLabelChunk, TrainHyper,
-                     aggregate, aggregate_batch, distill_loss, init_model,
-                     mean_distill_loss, mix_seed, one_hot, predict,
-                     predict_batch, subensemble_soft_labels, train)
+                     aggregate_batch, distill_loss, init_model,
+                     mean_distill_loss, mix_seed, one_hot, predict_batch,
+                     subensemble_soft_labels, train)
 from purgekd.model import _loss_gradient
 
 
@@ -115,15 +115,16 @@ class TestPrediction:
         z = x @ w + b
         expected = np.exp(z - z.max())
         expected /= expected.sum()
-        np.testing.assert_allclose(predict(state, x), expected, atol=1e-12)
+        np.testing.assert_allclose(predict_batch(state, x[None, :])[0], expected,
+                                   atol=1e-12)
 
     def test_temperature_flattens(self):
         """Higher temperature moves the distribution toward uniform."""
         arch = ModelArch("softmax_linear", 5, 4)
         state = init_model(arch, seed=1)
         x = np.random.default_rng(9).normal(size=5) * 4
-        cold = predict(state, x, temperature=0.5)
-        hot = predict(state, x, temperature=8.0)
+        cold = predict_batch(state, x[None, :], temperature=0.5)[0]
+        hot = predict_batch(state, x[None, :], temperature=8.0)[0]
         assert hot.max() < cold.max()
         np.testing.assert_allclose(hot.sum(), 1.0, atol=1e-12)
 
@@ -131,14 +132,14 @@ class TestPrediction:
         arch = ModelArch("softmax_linear", 3, 2)
         state = init_model(arch, seed=2)
         state.params[:] = 500.0
-        probs = predict(state, np.array([100.0, -100.0, 50.0]))
+        probs = predict_batch(state, np.array([[100.0, -100.0, 50.0]]))[0]
         assert np.all(np.isfinite(probs))
         np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         state = init_model(ModelArch("softmax_linear", 4, 2), seed=0)
         with pytest.raises(DimensionError):
-            predict(state, np.zeros(5))
+            predict_batch(state, np.zeros((1, 5)))
 
 
 class TestRowIndependence:
@@ -157,7 +158,6 @@ class TestRowIndependence:
         full = predict_batch(state, x)
         for i in (0, 1, 156, n - 2, n - 1):
             np.testing.assert_array_equal(predict_batch(state, x[i:i + 1])[0], full[i])
-            np.testing.assert_array_equal(predict(state, x[i]), full[i])
         for start in (1, 100, n - 1):
             np.testing.assert_array_equal(predict_batch(state, x[start:]), full[start:])
         for dropped in (0, n // 2, n - 1):
@@ -289,16 +289,17 @@ class TestAggregation:
     def test_mean_of_distributions(self):
         a = np.array([0.9, 0.1])
         b = np.array([0.5, 0.5])
-        np.testing.assert_allclose(aggregate([a, b]), [0.7, 0.3], atol=1e-15)
+        np.testing.assert_allclose(aggregate_batch([a[None, :], b[None, :]])[0],
+                                   [0.7, 0.3], atol=1e-15)
 
     def test_permutation_invariant_exactly(self):
         """Member order must not change the aggregate by even one ulp."""
         rng = np.random.default_rng(31)
-        preds = [rng.dirichlet(np.ones(5)) for _ in range(9)]
-        base = aggregate(preds)
+        preds = [rng.dirichlet(np.ones(5), size=1) for _ in range(9)]
+        base = aggregate_batch(preds)
         for _ in range(20):
             order = rng.permutation(9)
-            np.testing.assert_array_equal(aggregate([preds[i] for i in order]),
+            np.testing.assert_array_equal(aggregate_batch([preds[i] for i in order]),
                                           base)
 
     def test_batch_matches_rowwise(self):
@@ -307,11 +308,11 @@ class TestAggregation:
         batch = aggregate_batch(mats)
         for row in range(12):
             np.testing.assert_array_equal(
-                batch[row], aggregate([m[row] for m in mats]))
+                batch[row], aggregate_batch([m[row:row + 1] for m in mats])[0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            aggregate_batch([])
 
 
 def _fsum_mean(mats):
@@ -403,7 +404,7 @@ class TestExactMean:
         with pytest.raises(DimensionError):
             aggregate_batch([np.zeros((2, 3)), np.zeros((3, 3))])
         with pytest.raises(DimensionError):
-            aggregate([np.zeros(3), np.zeros(4)])
+            aggregate_batch([np.zeros((1, 3)), np.zeros((1, 4))])
 
 
 class TestSoftLabelChunk:

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from purgekd import (CheckpointKey, CheckpointStore, CostLedger, ModelArch,
-                     TrainBudget, TrainHyper, aggregate_batch, build_mapping,
-                     chunk_teacher_ids, evaluate_accuracy, loss_trace,
-                     predict_batch, train_student_network,
+                     TrainBudget, TrainHyper, UnlearnRequest, aggregate_batch,
+                     apply_request, build_mapping, chunk_teacher_ids,
+                     evaluate_accuracy, load_system, loss_trace, predict_batch,
+                     save_manifest, train_student_network,
                      train_teacher_ensemble)
 from purgekd.student import ConstituentMapping
 
@@ -26,8 +27,7 @@ def teacher_parts(small_dataset, tmp_path):
 
 
 def _train_student(dataset, ensemble, store, ledger, mode="purge",
-                   constituents=2, slices=2, trace=False, e_prime=8,
-                   seed=11):
+                   constituents=2, slices=2, e_prime=8, seed=11):
     mapping = build_mapping(ensemble.member_count, constituents)
     return train_student_network(
         dataset=dataset, mapping=mapping, teacher_members=ensemble.members,
@@ -36,7 +36,7 @@ def _train_student(dataset, ensemble, store, ledger, mode="purge",
                        dataset.num_classes),
         hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=2),
         store=store, ledger=ledger, mode=mode, seed=seed,
-        slices_per_chunk=slices, trace=trace)
+        slices_per_chunk=slices)
 
 
 class TestMapping:
@@ -187,16 +187,17 @@ class TestTrainingLayout:
 
 class TestEvaluation:
     def test_accuracy_against_manual_argmax(self, small_dataset, small_system):
-        probs = small_system.student.predict_proba_batch(
-            small_dataset.features)
+        states = small_system.student.constituents
+        probs = aggregate_batch([predict_batch(s, small_dataset.features)
+                                 for s in states])
         manual = float(np.mean(np.argmax(probs, axis=1) ==
                                small_dataset.labels))
-        assert evaluate_accuracy(small_system.student, small_dataset) == \
+        assert evaluate_accuracy(states, small_dataset) == \
             pytest.approx(manual)
 
     def test_single_state_accepted(self, small_dataset, small_system):
         state = small_system.student.constituents[0]
-        acc = evaluate_accuracy(state, small_dataset)
+        acc = evaluate_accuracy([state], small_dataset)
         assert 0.0 <= acc <= 1.0
 
 
@@ -205,18 +206,34 @@ class TestLossTrace:
                                        tmp_path):
         ensemble, _, ledger = teacher_parts
         store = CheckpointStore(tmp_path / "s")
-        net = _train_student(small_dataset, ensemble, store, ledger,
-                             trace=True)
+        net = _train_student(small_dataset, ensemble, store, ledger)
         for k in (1, 2):
-            trace = loss_trace(net, k)
+            trace = loss_trace(net, store, k)
             assert len(trace) == 4  # c*r rounds
             rounds = [t[0] for t in trace]
             assert rounds == [1, 2, 3, 4]
             assert all(np.isfinite(t[1]) for t in trace)
 
-    def test_disabled_by_default(self, small_dataset, teacher_parts, tmp_path):
-        ensemble, _, ledger = teacher_parts
-        store = CheckpointStore(tmp_path / "s")
-        net = _train_student(small_dataset, ensemble, store, ledger)
-        with pytest.raises(ValueError):
-            loss_trace(net, 1)
+    def test_reload_keeps_trace(self, small_system, tmp_path):
+        """The trace is read from the checkpoints, so a manifest round trip
+        gives it back unchanged."""
+        net, store = small_system.student, small_system.store
+        trained = {k: loss_trace(net, store, k) for k in (1, 2)}
+        save_manifest(small_system, tmp_path / "system.json", "ckpt")
+        loaded = load_system(tmp_path / "system.json")
+        for k in (1, 2):
+            assert loss_trace(loaded.student, loaded.store, k) == trained[k]
+
+    def test_replay_renews_trace_from_its_start(self, system_factory):
+        """A student point in round 3 of constituent 1 keeps rounds 1-2 of its
+        trace, changes every round from 3 on, and leaves constituent 2 alone."""
+        system = system_factory()
+        net, store = system.student, system.store
+        before = {k: loss_trace(net, store, k) for k in (1, 2)}
+        victim = net.plan.slice_ids(1, 2, 1)[0]
+        apply_request(system, UnlearnRequest(1, "student_point", victim))
+        after = loss_trace(net, store, 1)
+        assert after[:2] == before[1][:2]
+        assert [r for r, _ in after] == [1, 2, 3, 4]
+        assert all(a != b for (_, a), (_, b) in zip(after[2:], before[1][2:]))
+        assert loss_trace(net, store, 2) == before[2]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from purgekd import (CheckpointKey, CheckpointStore, CostLedger, ModelArch,
-                     NotFoundError, TrainBudget, TrainHyper, predict_batch,
-                     teacher_unlearn, train_teacher_ensemble)
+                     NotFoundError, TrainBudget, TrainHyper, aggregate_batch,
+                     predict_batch, teacher_unlearn, train_teacher_ensemble)
 from purgekd.checkpoints import record_state
 
 
@@ -87,8 +87,8 @@ class TestInitialTraining:
         store = CheckpointStore(tmp_path / "s")
         ensemble, _ = _build(small_dataset, store)
         x = small_dataset.features[:10]
-        mean = np.mean([predict_batch(m, x) for m in ensemble.members], axis=0)
-        np.testing.assert_allclose(ensemble.predict_proba_batch(x), mean,
+        preds = [predict_batch(m, x) for m in ensemble.members]
+        np.testing.assert_allclose(aggregate_batch(preds), np.mean(preds, axis=0),
                                    atol=1e-12)
 
 

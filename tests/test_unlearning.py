@@ -4,10 +4,28 @@ scratch-retrain verification oracle."""
 import numpy as np
 import pytest
 
-from purgekd import (ConfigError, NotFoundError, ParseError, SyntheticSpec,
-                     UnlearnRequest, apply_request, gen_synthetic,
-                     generate_requests, is_aligned, parse_request_stream,
-                     snapshot, verify_exactness, write_request_stream)
+from purgekd import (CheckpointStore, ConfigError, ModelArch, NotFoundError,
+                     ParseError, SyntheticSpec, TrainHyper, UnlearnRequest,
+                     apply_request, gen_synthetic, generate_requests,
+                     is_aligned, parse_request_stream, snapshot, train_system,
+                     verify_exactness, write_request_stream)
+
+
+@pytest.fixture
+def separate_system(small_dataset, tmp_path):
+    """The small system's shape, with teachers trained on a second dataset
+    (seed 70) whose point ids coincide with the student's."""
+    teacher_ds = gen_synthetic(SyntheticSpec(
+        num_classes=3, points_per_class=80, feature_dim=5, seed=70))
+    arch = ModelArch("softmax_linear", 5, 3)
+    return train_system(
+        student_dataset=small_dataset, teacher_dataset=teacher_ds,
+        teacher_members=4, teacher_slices=2, student_constituents=2,
+        slices_per_chunk=2, mode="purge", e_prime=8, teacher_arch=arch,
+        student_arch=arch,
+        teacher_hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=1),
+        student_hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=2),
+        store=CheckpointStore(tmp_path / "sep"), seed=11)
 
 
 class TestRequestStream:
@@ -85,6 +103,19 @@ class TestStudentRemoval:
         assert report.affected_student_constituents == (k,)
         assert report.teacher_steps == 0
         assert report.chunks_relabeled == ()
+
+    def test_replayed_records_keep_their_provenance(self, small_system):
+        """A replayed checkpoint records the same label provenance as the
+        generation it supersedes: chunks 1..l of its own key."""
+        store = small_system.store
+        victim = small_system.student.plan.slice_ids(1, 1, 2)[0]
+        apply_request(small_system, UnlearnRequest(0, "student_point", victim))
+        replayed = [key for key in store.keys("student")
+                    if store.latest_generation(key) > 1]
+        assert [(key.k, key.l, key.j) for key in replayed] == \
+            [(1, 1, 2), (1, 2, 1), (1, 2, 2)]
+        for key in replayed:
+            assert store.load(key).provenance == store.load(key, 1).provenance
 
     def test_late_slice_cheaper_than_early(self, system_factory):
         """Removing from the last slice replays less than from the first."""
@@ -215,25 +246,12 @@ class TestSimultaneousRemoval:
         assert pid not in system.student.plan
         assert pid not in system.teacher.plan
 
-    def test_missing_from_either_side_rejected(self, system_factory,
-                                               small_dataset, tmp_path):
-        from purgekd import (CheckpointStore, ModelArch, SyntheticSpec,
-                             TrainHyper, gen_synthetic, train_system)
-        teacher_ds = gen_synthetic(SyntheticSpec(
-            num_classes=3, points_per_class=80, feature_dim=5, seed=70))
-        arch = ModelArch("softmax_linear", 5, 3)
-        system = train_system(
-            student_dataset=small_dataset, teacher_dataset=teacher_ds,
-            teacher_members=4, teacher_slices=2, student_constituents=2,
-            slices_per_chunk=2, mode="purge", e_prime=8, teacher_arch=arch,
-            student_arch=arch,
-            teacher_hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=1),
-            student_hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=2),
-            store=CheckpointStore(tmp_path / "sep"), seed=11)
-        # ids overlap numerically but the datasets are distinct objects, so
-        # simultaneous removal is refused for cross-dataset systems
+    def test_missing_from_either_side_rejected(self, separate_system):
+        # 10_000 is in neither partition; ids both datasets hold are covered
+        # by TestMissingPoint.test_separate_datasets_refused
         with pytest.raises(NotFoundError):
-            apply_request(system, UnlearnRequest(0, "simultaneous", 10_000))
+            apply_request(separate_system,
+                          UnlearnRequest(0, "simultaneous", 10_000))
 
 
 class TestReportsPinned:
@@ -316,6 +334,16 @@ class TestMissingPoint:
         state = self._state(system)
         with pytest.raises(NotFoundError):
             apply_request(system, UnlearnRequest(2, "simultaneous", pid))
+        assert self._state(system) == state
+
+    def test_separate_datasets_refused(self, separate_system):
+        """Id 5 is in both partitions but names two different points, so a
+        simultaneous request is refused before anything changes."""
+        system = separate_system
+        assert 5 in system.student.plan and 5 in system.teacher.plan
+        state = self._state(system)
+        with pytest.raises(NotFoundError):
+            apply_request(system, UnlearnRequest(1, "simultaneous", 5))
         assert self._state(system) == state
 
 
