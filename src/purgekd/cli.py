@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .costmodel import (CostLedger, read_ledger_csv, simulate_teacher_requests,
-                        speedup_vs_n, write_ledger_csv)
+from .costmodel import (read_ledger_csv, simulate_teacher_requests, speedup_vs_n,
+                        write_ledger_csv)
 from .data import SyntheticSpec, gen_synthetic, load_csv
 from .errors import ConfigError, DataError, NotFoundError
 from .model import ModelArch, TrainHyper, mix_seed

@@ -2,10 +2,17 @@
 
 Partition coordinates are 1-based throughout: shard k in 1..N, chunk l in
 1..c_k, slice j in 1..R_{k,l}.
+
+A plan resolves its point ids to dataset rows once, when it is built, and
+keeps per shard the row indices in plan order plus the chunk and slice
+boundaries. Every training round reads a prefix of its shard, so it gathers
+by row index alone; point ids appear only at the API and manifest boundary
+(locate, remove, the id listings and raw_slices).
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass
 
@@ -34,6 +41,34 @@ class SyntheticSpec:
             raise ValueError("class_center_spread and within_class_stddev must be positive")
 
 
+class IdIndex:
+    """Vectorized id -> position lookups over an array of unique ids."""
+
+    def __init__(self, ids: np.ndarray):
+        self._order = np.argsort(ids, kind="stable")
+        self._sorted = ids[self._order]
+        if (self._sorted[1:] == self._sorted[:-1]).any():
+            raise ValueError("point ids must be unique")
+
+    def _find(self, want: np.ndarray):
+        """Positions into the sorted ids, and which of `want` are present."""
+        if not len(self._sorted):
+            return np.zeros(want.shape, dtype=np.intp), np.zeros(want.shape, dtype=bool)
+        at = np.minimum(np.searchsorted(self._sorted, want), len(self._sorted) - 1)
+        return at, self._sorted[at] == want
+
+    def __contains__(self, point_id) -> bool:
+        return bool(self._find(np.int64(int(point_id)))[1])
+
+    def positions(self, point_ids) -> np.ndarray:
+        """Positions of the given ids in the indexed array, in the given order."""
+        want = np.asarray(point_ids, dtype=np.int64)
+        at, found = self._find(want)
+        if not found.all():
+            raise NotFoundError(f"unknown point id {int(want[~found][0])}")
+        return self._order[at]
+
+
 class Dataset:
     """Ordered classification points with stable integer ids.
 
@@ -49,14 +84,12 @@ class Dataset:
             raise DimensionError("features must be a 2-d array")
         if not (len(self.ids) == len(self.features) == len(self.labels)):
             raise ValueError("ids, features and labels must have equal length")
-        if len(set(self.ids.tolist())) != len(self.ids):
-            raise ValueError("point ids must be unique")
         if num_classes < 1:
             raise ValueError("num_classes must be positive")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= num_classes):
             raise ValueError("labels must lie in [0, num_classes)")
         self.num_classes = int(num_classes)
-        self._row = {int(p): i for i, p in enumerate(self.ids)}
+        self._index = IdIndex(self.ids)
 
     @property
     def feature_dim(self) -> int:
@@ -66,20 +99,13 @@ class Dataset:
         return len(self.ids)
 
     def __contains__(self, point_id) -> bool:
-        return int(point_id) in self._row
+        return point_id in self._index
 
     def rows_for(self, point_ids) -> np.ndarray:
-        try:
-            rows = [self._row[int(p)] for p in point_ids]
-        except KeyError as exc:
-            raise NotFoundError(f"unknown point id {exc.args[0]}") from None
-        return np.asarray(rows, dtype=np.intp)
+        return self._index.positions(point_ids)
 
     def features_for(self, point_ids) -> np.ndarray:
         return self.features[self.rows_for(point_ids)]
-
-    def labels_for(self, point_ids) -> np.ndarray:
-        return self.labels[self.rows_for(point_ids)]
 
 
 def gen_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -162,50 +188,88 @@ def _split(seq, sizes):
     return out
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class PartitionPlan:
-    """Shard -> chunk -> slice hierarchy over point ids.
+    """Shard -> chunk -> slice hierarchy over the points of one dataset.
 
     Built once from a seeded uniform permutation; afterwards mutated only by
     remove (single writer). Group sizes at every level differ by at most one
     at construction time.
+
+    Per shard k the plan keeps the point ids and their dataset rows, both in
+    plan order, and per chunk l the boundaries (start, end of slice 1, ...,
+    end of slice R) into those arrays. Round (l, j) of shard k trains on
+    chunks 1..l-1 and slices 1..j of chunk l: the prefix
+    ``shard_rows(k)[:chunk_bounds(k, l)[j]]``. The arrays are read-only;
+    remove replaces a shard's arrays, so copies share them safely.
     """
 
-    def __init__(self, slices, seed):
-        # slices[k-1][l-1][j-1] is the ordered id list of slice (k, l, j)
-        self._slices = [[[list(map(int, sl)) for sl in chunk] for chunk in shard]
-                        for shard in slices]
+    def __init__(self, slices, seed, dataset: Dataset):
+        # slices[k-1][l-1][j-1] is the ordered id sequence of slice (k, l, j)
         self.seed = seed
+        self._ids, self._bounds = [], []
         self._loc = {}
-        for k, shard in enumerate(self._slices, start=1):
+        for k, shard in enumerate(slices, start=1):
+            parts = [np.asarray(sl, dtype=np.int64) for chunk in shard for sl in chunk]
+            ids = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+            ends = np.cumsum([0] + [len(p) for p in parts]).tolist()
+            bounds, first = [], 0
             for l, chunk in enumerate(shard, start=1):
-                for j, sl in enumerate(chunk, start=1):
-                    for pid in sl:
-                        self._loc[pid] = (k, l, j)
+                bounds.append(tuple(ends[first:first + len(chunk) + 1]))
+                for j in range(1, len(chunk) + 1):
+                    self._loc.update(dict.fromkeys(
+                        ids[ends[first + j - 1]:ends[first + j]].tolist(), (k, l, j)))
+                first += len(chunk)
+            self._ids.append(_frozen(ids))
+            self._bounds.append(bounds)
+        # one lookup resolves the whole plan
+        rows = dataset.rows_for(np.concatenate(self._ids))
+        cuts = np.cumsum([len(ids) for ids in self._ids])[:-1]
+        self._rows = [_frozen(r) for r in np.split(rows, cuts)]
 
     @property
     def num_shards(self) -> int:
-        return len(self._slices)
+        return len(self._ids)
 
     def chunks_in_shard(self, k: int) -> int:
-        return len(self._slices[k - 1])
+        return len(self._bounds[k - 1])
 
     def slices_in_chunk(self, k: int, l: int) -> int:
-        return len(self._slices[k - 1][l - 1])
+        return len(self._bounds[k - 1][l - 1]) - 1
 
     def total_slices_in_shard(self, k: int) -> int:
-        return sum(len(chunk) for chunk in self._slices[k - 1])
+        return sum(len(b) - 1 for b in self._bounds[k - 1])
 
-    def slice_ids(self, k: int, l: int, j: int) -> list[int]:
-        return list(self._slices[k - 1][l - 1][j - 1])
-
-    def chunk_ids(self, k: int, l: int) -> list[int]:
-        return [p for sl in self._slices[k - 1][l - 1] for p in sl]
+    def chunk_bounds(self, k: int, l: int) -> tuple[int, ...]:
+        """Offsets of chunk (k, l) into shard k's arrays: its start, then the
+        end of each of its slices."""
+        return self._bounds[k - 1][l - 1]
 
     def shard_ids(self, k: int) -> list[int]:
-        return [p for ch in self._slices[k - 1] for sl in ch for p in sl]
+        return self._ids[k - 1].tolist()
+
+    def shard_id_array(self, k: int) -> np.ndarray:
+        """Read-only point ids of shard k, in plan order."""
+        return self._ids[k - 1]
+
+    def shard_rows(self, k: int) -> np.ndarray:
+        """Read-only dataset rows of shard k, in plan order."""
+        return self._rows[k - 1]
+
+    def slice_ids(self, k: int, l: int, j: int) -> list[int]:
+        b = self._bounds[k - 1][l - 1]
+        return self._ids[k - 1][b[j - 1]:b[j]].tolist()
+
+    def chunk_ids(self, k: int, l: int) -> list[int]:
+        b = self._bounds[k - 1][l - 1]
+        return self._ids[k - 1][b[0]:b[-1]].tolist()
 
     def all_ids(self) -> list[int]:
-        return [p for k in range(1, self.num_shards + 1) for p in self.shard_ids(k)]
+        return np.concatenate(self._ids).tolist()
 
     def __contains__(self, point_id) -> bool:
         return int(point_id) in self._loc
@@ -220,16 +284,29 @@ class PartitionPlan:
             raise NotFoundError(f"point {point_id} is not in the partition") from None
 
     def remove(self, point_id) -> None:
+        """Drop one point; the survivors keep their order and rows."""
         k, l, j = self.locate(point_id)
-        self._slices[k - 1][l - 1][j - 1].remove(int(point_id))
+        ids = self._ids[k - 1]
+        b = self._bounds[k - 1][l - 1]
+        pos = b[j - 1] + int(np.flatnonzero(ids[b[j - 1]:b[j]] == int(point_id))[0])
+        self._ids[k - 1] = _frozen(np.delete(ids, pos))
+        self._rows[k - 1] = _frozen(np.delete(self._rows[k - 1], pos))
+        self._bounds[k - 1] = [tuple(o - (o > pos) for o in chunk)
+                               for chunk in self._bounds[k - 1]]
         del self._loc[int(point_id)]
 
     def copy(self) -> "PartitionPlan":
-        return PartitionPlan(self._slices, self.seed)
+        """Independent copy: shares the read-only shard arrays, copies the
+        per-shard lists and the location index."""
+        dup = copy.copy(self)
+        dup._ids, dup._rows, dup._bounds = list(self._ids), list(self._rows), list(self._bounds)
+        dup._loc = dict(self._loc)
+        return dup
 
     def raw_slices(self):
         """Nested id lists (copy), suitable for serialization."""
-        return [[[list(sl) for sl in chunk] for chunk in shard] for shard in self._slices]
+        return [[[ids[b[j - 1]:b[j]].tolist() for j in range(1, len(b))] for b in bounds]
+                for ids, bounds in zip(self._ids, self._bounds)]
 
 
 def make_partition(dataset: Dataset, num_shards: int, chunks_per_shard,
@@ -256,7 +333,7 @@ def make_partition(dataset: Dataset, num_shards: int, chunks_per_shard,
         if any(r < 1 for r in slices_per_chunk[k]):
             raise PartitionError(f"shard {k + 1}: slice counts must be >= 1")
 
-    perm = [int(p) for p in np.random.default_rng(seed).permutation(dataset.ids)]
+    perm = np.random.default_rng(seed).permutation(dataset.ids)
     shards = _split(perm, even_split_sizes(len(perm), num_shards))
     nested = []
     for k in range(num_shards):
@@ -266,4 +343,4 @@ def make_partition(dataset: Dataset, num_shards: int, chunks_per_shard,
             r = slices_per_chunk[k][l]
             shard_slices.append(_split(chunks[l], even_split_sizes(len(chunks[l]), r)))
         nested.append(shard_slices)
-    return PartitionPlan(nested, seed)
+    return PartitionPlan(nested, seed, dataset)

@@ -13,8 +13,9 @@ shapes of the original run.
 
 Aggregation is correctly rounded and vectorized: every element of an
 ensemble mean is ``fsum(member values) / M``, computed with error-free
-TwoSum cascades over whole arrays; only elements whose rounding the cascade
-cannot certify (ties, near-ties, non-finite values) fall back to a per-element
+TwoSum cascades over whole arrays. Exact ties are settled by the cascade
+itself; only elements whose rounding it cannot certify (near-ties within
+the error bound, non-finite values) fall back to a per-element
 ``math.fsum``.
 """
 
@@ -27,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import IdIndex
 from .errors import DimensionError
 
 ARCH_KINDS = ("softmax_linear", "one_hidden_layer")
@@ -281,10 +283,12 @@ def aggregate_batch(prediction_mats) -> np.ndarray:
     A TwoSum cascade over the M members yields the float sum s, the sum e of
     its exact rounding errors, and a bound on the rounding of e itself; the
     true sum is then r + c + delta with (r, c) = TwoSum(s, e) and |delta| <=
-    bound. An element keeps r when c +- bound lies strictly inside r's
-    rounding interval (half an ulp on either side), so r is the correctly
-    rounded sum; every other element (a tie, a near-tie, a non-finite value)
-    goes through math.fsum.
+    bound. An element keeps r when bound == 0: every error sum was exact, so
+    s + e is the exact sum and r = fl(s + e) is already rounded to nearest,
+    ties to even, as fsum rounds. It also keeps r when c +- bound lies
+    strictly inside r's rounding interval (half an ulp on either side).
+    Every other element (a near-tie the bound cannot settle, a non-finite
+    value) goes through math.fsum.
     """
     mats = [np.asarray(m, dtype=np.float64) for m in prediction_mats]
     if not mats:
@@ -307,8 +311,7 @@ def aggregate_batch(prediction_mats) -> np.ndarray:
         up = 0.5 * (np.nextafter(r, np.inf) - r)
         down = 0.5 * (r - np.nextafter(r, -np.inf))
         keep = (np.isfinite(up) & np.isfinite(down)
-                & (((c == 0.0) & (bound == 0.0))
-                   | ((c + bound < up) & (c - bound > -down))))
+                & ((bound == 0.0) | ((c + bound < up) & (c - bound > -down))))
     out = r / len(mats)
     for i, j in zip(*np.nonzero(~keep)):
         out[i, j] = math.fsum(stack[:, i, j]) / len(mats)
@@ -319,36 +322,37 @@ class SoftLabelChunk:
     """Ordered (point_id, probability vector) pairs for one chunk."""
 
     def __init__(self, point_ids, probs):
-        self.point_ids = tuple(int(p) for p in point_ids)
+        self.ids = np.asarray(point_ids, dtype=np.int64)
         self.probs = np.asarray(probs, dtype=np.float64)
-        if self.probs.ndim != 2 or len(self.probs) != len(self.point_ids):
+        if self.ids.ndim != 1 or self.probs.ndim != 2 or len(self.probs) != len(self.ids):
             raise DimensionError("need one probability row per point id")
-        if len(set(self.point_ids)) != len(self.point_ids):
-            raise ValueError("duplicate point ids in soft-label chunk")
         if len(self.probs):
             if (self.probs < 0).any():
                 raise ValueError("soft labels must be non-negative")
             if np.abs(self.probs.sum(axis=1) - 1.0).max() > 1e-9:
                 raise ValueError("soft labels must sum to 1 within 1e-9")
-        self._row = {p: i for i, p in enumerate(self.point_ids)}
+        self._index = IdIndex(self.ids)
+
+    @property
+    def point_ids(self) -> tuple[int, ...]:
+        return tuple(self.ids.tolist())
 
     def __len__(self) -> int:
-        return len(self.point_ids)
+        return len(self.ids)
 
     def __contains__(self, point_id) -> bool:
-        return int(point_id) in self._row
+        return point_id in self._index
 
     def probs_for(self, point_ids) -> np.ndarray:
-        rows = [self._row[int(p)] for p in point_ids]
-        return self.probs[rows]
+        return self.probs[self._index.positions(point_ids)]
 
     def without(self, point_id) -> "SoftLabelChunk":
-        """Copy with one entry dropped; the remaining rows are bit-identical."""
+        """Copy with one entry dropped; the remaining rows keep their order and bits."""
         pid = int(point_id)
-        if pid not in self._row:
+        if pid not in self:
             raise KeyError(f"point {pid} has no soft label in this chunk")
-        keep = [i for i, p in enumerate(self.point_ids) if p != pid]
-        return SoftLabelChunk([self.point_ids[i] for i in keep], self.probs[keep])
+        keep = self.ids != pid
+        return SoftLabelChunk(self.ids[keep], self.probs[keep])
 
 
 def subensemble_soft_labels(models, point_ids, features,

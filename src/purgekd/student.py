@@ -142,23 +142,29 @@ def _provenance_snapshot(provenance: dict, k: int, l: int) -> tuple:
                         if kk == k and i <= l))
 
 
+def _chunk_probs(soft_labels: dict, plan: PartitionPlan, k: int, l: int) -> np.ndarray:
+    """Soft-label rows of chunk (k, l), refused unless they follow the
+    chunk's plan order, since rounds slice them by position."""
+    chunk = soft_labels[(k, l)]
+    bounds = plan.chunk_bounds(k, l)
+    if not np.array_equal(chunk.ids, plan.shard_id_array(k)[bounds[0]:bounds[-1]]):
+        raise ValueError(f"soft labels of chunk {k},{l} do not follow the plan's order")
+    return chunk.probs
+
+
 def _gather_round(plan: PartitionPlan, dataset: Dataset, soft_labels: dict,
                   k: int, l: int, j: int):
-    """Cumulative training arrays for round (l, j): chunks 1..l-1 in full
-    plus slices 1..j of chunk l, in plan order."""
-    ids = []
-    soft_rows = []
-    for i in range(1, l):
-        chunk_ids = plan.chunk_ids(k, i)
-        ids.extend(chunk_ids)
-        soft_rows.append(soft_labels[(k, i)].probs_for(chunk_ids))
-    partial = [p for q in range(1, j + 1) for p in plan.slice_ids(k, l, q)]
-    ids.extend(partial)
-    soft_rows.append(soft_labels[(k, l)].probs_for(partial))
-    x = dataset.features_for(ids)
-    soft = np.vstack([rows for rows in soft_rows if len(rows)])
-    hard = dataset.labels_for(ids)
-    return ids, x, soft, hard
+    """Cumulative training arrays (x, soft, hard) for round (l, j): chunks
+    1..l-1 in full plus slices 1..j of chunk l, in plan order.
+
+    That data is a prefix of shard k, so the gather is one slice of the
+    plan's row index and one slice of each chunk's soft labels; point ids
+    only enter the check that those labels follow the plan's order."""
+    bounds = plan.chunk_bounds(k, l)
+    soft = [_chunk_probs(soft_labels, plan, k, i) for i in range(1, l)]
+    soft.append(_chunk_probs(soft_labels, plan, k, l)[:bounds[j] - bounds[0]])
+    rows = plan.shard_rows(k)[:bounds[j]]
+    return dataset.features[rows], np.concatenate(soft), dataset.labels[rows]
 
 
 def run_student_round(state: ModelState, k: int, l: int, j: int,
@@ -168,9 +174,9 @@ def run_student_round(state: ModelState, k: int, l: int, j: int,
                       phase: str):
     """One slice round of constituent k: train on the cumulative data, store
     the checkpoint, account the steps. Returns (state, steps)."""
-    ids, x, soft, hard = _gather_round(plan, dataset, soft_labels, k, l, j)
+    x, soft, hard = _gather_round(plan, dataset, soft_labels, k, l, j)
     state = model.train(state, x, soft, hard, epochs, hyper_k)
-    steps = len(ids) * epochs
+    steps = len(x) * epochs
     ledger.add(phase, "student", k, steps)
     key = CheckpointKey("student", k, l, j)
     store.save(key, state_record(key, state, _provenance_snapshot(provenance, k, l)))
@@ -180,11 +186,14 @@ def run_student_round(state: ModelState, k: int, l: int, j: int,
 def generate_chunk_labels(mode: str, mapping: ConstituentMapping,
                           teacher_members, plan: PartitionPlan, dataset: Dataset,
                           k: int, l: int, temperature: float) -> SoftLabelChunk:
-    """Soft labels for chunk (k, l) under the given labeling mode."""
-    ids = plan.chunk_ids(k, l)
+    """Soft labels for chunk (k, l) under the given labeling mode, in the
+    chunk's plan order."""
+    bounds = plan.chunk_bounds(k, l)
+    span = slice(bounds[0], bounds[-1])
     return subensemble_soft_labels(
         [teacher_members[m - 1] for m in chunk_teacher_ids(mode, mapping, k, l)],
-        ids, dataset.features_for(ids), temperature)
+        plan.shard_id_array(k)[span], dataset.features[plan.shard_rows(k)[span]],
+        temperature)
 
 
 def train_student_constituent(k: int, plan: PartitionPlan, dataset: Dataset,
@@ -261,8 +270,8 @@ def loss_trace(network: StudentNetwork, store: CheckpointStore, k: int):
     trace = []
     for l in range(1, plan.chunks_in_shard(k) + 1):
         for j in range(1, plan.slices_in_chunk(k, l) + 1):
-            _, x, soft, hard = _gather_round(plan, network.dataset,
-                                             network.soft_labels, k, l, j)
+            x, soft, hard = _gather_round(plan, network.dataset,
+                                          network.soft_labels, k, l, j)
             state = record_state(store.load(CheckpointKey("student", k, l, j)))
             trace.append((len(trace) + 1, model.mean_distill_loss(
                 state, x, soft, hard, network.hyper.hard_label_weight)))

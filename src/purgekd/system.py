@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoints import CheckpointKey, CheckpointStore, record_state
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan
@@ -186,7 +184,8 @@ def load_system(path) -> TrainedSystem:
     tdoc = doc["teacher"]
     teacher_dataset = student_dataset if shared else _dataset_from(tdoc["dataset"])
 
-    teacher_plan = PartitionPlan(tdoc["plan"]["slices"], tdoc["plan"]["seed"])
+    teacher_plan = PartitionPlan(tdoc["plan"]["slices"], tdoc["plan"]["seed"],
+                                 teacher_dataset)
     members = []
     for m in range(1, tdoc["members"] + 1):
         r_t = teacher_plan.slices_in_chunk(m, 1)
@@ -195,7 +194,8 @@ def load_system(path) -> TrainedSystem:
                               _arch_from(tdoc["arch"]), _hyper_from(tdoc["hyper"]),
                               seed)
 
-    student_plan = PartitionPlan(sdoc["plan"]["slices"], sdoc["plan"]["seed"])
+    student_plan = PartitionPlan(sdoc["plan"]["slices"], sdoc["plan"]["seed"],
+                                 student_dataset)
     mapping = ConstituentMapping(tuple(tuple(ms) for ms in sdoc["mapping"]))
     soft_labels = {}
     for key, entry in sdoc["soft_labels"].items():

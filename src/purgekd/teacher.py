@@ -54,18 +54,23 @@ class TeacherEnsemble:
         return model.stream_hyper(self.hyper, SEED_TEACHER, m)
 
 
+def _gather_round(plan: PartitionPlan, dataset: Dataset, m: int, j: int):
+    """Training arrays (x, hard) for round j of member m: slices 1..j, a
+    prefix of shard m in plan order, read by row index."""
+    rows = plan.shard_rows(m)[:plan.chunk_bounds(m, 1)[j]]
+    return dataset.features[rows], dataset.labels[rows]
+
+
 def _teacher_round(state: ModelState, m: int, j: int, plan: PartitionPlan,
                    dataset: Dataset, epochs: int, member_hyper: TrainHyper,
                    store: CheckpointStore, ledger: CostLedger,
                    phase: str):
     """One slice round: train on cumulative slices 1..j, checkpoint, account.
     Returns (state, steps)."""
-    ids = [p for q in range(1, j + 1) for p in plan.slice_ids(m, 1, q)]
-    x = dataset.features_for(ids)
-    hard = dataset.labels_for(ids)
+    x, hard = _gather_round(plan, dataset, m, j)
     state = model.train(state, x, one_hot(hard, dataset.num_classes), hard,
                         epochs, member_hyper)
-    steps = len(ids) * epochs
+    steps = len(x) * epochs
     ledger.add(phase, "teacher", m, steps)
     store.save(CheckpointKey("teacher", m, 1, j), state_record(
         CheckpointKey("teacher", m, 1, j), state))

@@ -265,7 +265,7 @@ def verify_exactness(system_before, request: UnlearnRequest,
                 failures.append(f"constituent {k}: scratch retrain differs by {diff}")
             for l in range(1, net.plan.chunks_in_shard(k) + 1):
                 cached = net.soft_labels[(k, l)]
-                if (soft[(k, l)].point_ids != cached.point_ids
+                if (not np.array_equal(soft[(k, l)].ids, cached.ids)
                         or not np.array_equal(soft[(k, l)].probs, cached.probs)):
                     failures.append(f"constituent {k}: cached labels of chunk {l} "
                                     "do not match the current teachers")

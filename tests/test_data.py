@@ -60,6 +60,16 @@ class TestDatasetAccessors:
         with pytest.raises(NotFoundError):
             small_dataset.rows_for([10_000])
 
+    def test_rows_for_unsorted_ids(self):
+        ds = Dataset(ids=np.array([50, 3, 17, 99]), features=np.zeros((4, 2)),
+                     labels=np.array([0, 1, 0, 1]), num_classes=2)
+        np.testing.assert_array_equal(ds.rows_for([99, 3, 50, 17]), [3, 1, 0, 2])
+        assert len(ds.rows_for([])) == 0
+        for missing in (-1, 4, 100):
+            assert missing not in ds
+            with pytest.raises(NotFoundError, match=str(missing)):
+                ds.rows_for([3, missing])
+
     def test_contains(self, small_dataset):
         assert 0 in small_dataset
         assert 239 in small_dataset
@@ -191,6 +201,36 @@ class TestPartitionPlan:
         plan.remove(victim)
         assert victim not in plan
         assert victim in dup
+
+    def test_rows_and_bounds_follow_ids_after_removals(self, small_dataset):
+        """The row index and boundaries a round slices stay in step with the
+        id listings as points leave the first, last and middle of chunks."""
+        plan = make_partition(small_dataset, 3, 2, 2, seed=9)
+        for pid in (plan.chunk_ids(1, 1)[0], plan.chunk_ids(2, 2)[-1],
+                    plan.slice_ids(3, 1, 2)[3]):
+            plan.remove(pid)
+        for k in range(1, 4):
+            np.testing.assert_array_equal(plan.shard_rows(k),
+                                          small_dataset.rows_for(plan.shard_ids(k)))
+            assert plan.shard_id_array(k).tolist() == plan.shard_ids(k)
+            offset = 0
+            for l in range(1, 3):
+                bounds = plan.chunk_bounds(k, l)
+                assert bounds[0] == offset
+                assert [bounds[j] - bounds[j - 1] for j in (1, 2)] == \
+                    [len(plan.slice_ids(k, l, j)) for j in (1, 2)]
+                offset = bounds[-1]
+            assert offset == len(plan.shard_ids(k))
+            assert not plan.shard_rows(k).flags.writeable
+
+    def test_copy_keeps_its_rows(self, small_dataset):
+        plan = make_partition(small_dataset, 2, 2, 2, seed=4)
+        dup = plan.copy()
+        victim = plan.slice_ids(1, 1, 1)[0]
+        plan.remove(victim)
+        assert dup.shard_ids(1)[0] == victim
+        assert dup.shard_rows(1)[0] == small_dataset.rows_for([victim])[0]
+        assert dup.chunk_bounds(1, 2) == tuple(b + 1 for b in plan.chunk_bounds(1, 2))
 
     def test_too_small_dataset_rejected(self, small_dataset):
         with pytest.raises(PartitionError):

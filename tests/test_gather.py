@@ -1,0 +1,127 @@
+"""Round gathering by row index equals an id-based gather, bit for bit.
+
+Every training round reads a prefix of its shard through the plan's row
+index. The reference here rebuilds each round from point ids instead, with
+its own copy of the partition kept as nested id lists, and looks the ids up
+with Dataset.rows_for and SoftLabelChunk.probs_for.
+"""
+
+import numpy as np
+import pytest
+
+from purgekd import SoftLabelChunk, UnlearnRequest, apply_request
+from purgekd import student, teacher
+
+
+def _student_reference(slices, dataset, soft_labels, k, l, j):
+    chunks = slices[k - 1]
+    earlier = [[p for sl in chunks[i - 1] for p in sl] for i in range(1, l)]
+    partial = [p for sl in chunks[l - 1][:j] for p in sl]
+    ids = [p for chunk in earlier for p in chunk] + partial
+    soft = np.vstack([soft_labels[(k, i)].probs_for(chunk)
+                      for i, chunk in enumerate(earlier, start=1)]
+                     + [soft_labels[(k, l)].probs_for(partial)])
+    rows = dataset.rows_for(ids)
+    return dataset.features[rows], soft, dataset.labels[rows]
+
+
+def _teacher_reference(slices, dataset, m, j):
+    rows = dataset.rows_for([p for sl in slices[m - 1][0][:j] for p in sl])
+    return dataset.features[rows], dataset.labels[rows]
+
+
+def _same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def _check_every_round(system, student_slices, teacher_slices):
+    """Compare every round of every constituent and teacher member."""
+    net, ens = system.student, system.teacher
+    assert net.plan.raw_slices() == student_slices
+    assert ens.plan.raw_slices() == teacher_slices
+    rounds = 0
+    for k in range(1, net.plan.num_shards + 1):
+        for l in range(1, net.plan.chunks_in_shard(k) + 1):
+            for j in range(1, net.plan.slices_in_chunk(k, l) + 1):
+                _same_bits(student._gather_round(net.plan, net.dataset,
+                                                 net.soft_labels, k, l, j),
+                           _student_reference(student_slices, net.dataset,
+                                              net.soft_labels, k, l, j))
+                rounds += 1
+    for m in range(1, ens.plan.num_shards + 1):
+        for j in range(1, ens.plan.slices_in_chunk(m, 1) + 1):
+            _same_bits(teacher._gather_round(ens.plan, ens.dataset, m, j),
+                       _teacher_reference(teacher_slices, ens.dataset, m, j))
+            rounds += 1
+    return rounds
+
+
+@pytest.fixture
+def fine_system(system_factory):
+    """Two constituents of two 60-point chunks cut into 2-point slices, so a
+    slice can be emptied in two requests."""
+    return system_factory(members=4, constituents=2, slices_per_chunk=30)
+
+
+def _drop(slices, pid):
+    for shard in slices:
+        for chunk in shard:
+            for sl in chunk:
+                if pid in sl:
+                    sl.remove(pid)
+                    return
+    raise AssertionError(f"point {pid} is not in the reference partition")
+
+
+class TestRoundGather:
+    def test_fresh_system(self, fine_system):
+        rounds = _check_every_round(fine_system, fine_system.student.plan.raw_slices(),
+                                    fine_system.teacher.plan.raw_slices())
+        assert rounds == 2 * 2 * 30 + 4 * 2
+
+    def test_after_removals(self, fine_system):
+        system = fine_system
+        s_ref = system.student.plan.raw_slices()
+        t_ref = system.teacher.plan.raw_slices()
+        plan = system.student.plan
+        lonely = plan.slice_ids(1, 1, 3)
+        assert len(lonely) == 2
+        relabel = system.teacher.plan.slice_ids(1, 1, 2)[4]
+        victims = [
+            ("student_point", plan.chunk_ids(1, 2)[0]),   # first point of a chunk
+            ("student_point", plan.chunk_ids(2, 1)[-1]),  # last point of a chunk
+            ("student_point", lonely[0]),
+            ("student_point", lonely[1]),                 # then the slice's only point
+            ("teacher_point", relabel),                   # relabels chunks of constituent 1
+        ]
+        for n, (kind, pid) in enumerate(victims, start=1):
+            _, report = apply_request(system, UnlearnRequest(n, kind, pid))
+            if kind == "student_point":
+                _drop(s_ref, pid)
+            else:
+                _drop(t_ref, pid)
+                assert report.chunks_relabeled
+            _check_every_round(system, s_ref, t_ref)
+        assert system.student.plan.slice_ids(1, 1, 3) == []
+
+
+class TestPlanOrderInvariant:
+    def test_out_of_order_labels_refused(self, fine_system):
+        net = fine_system.student
+        chunk = net.soft_labels[(1, 1)]
+        net.soft_labels[(1, 1)] = SoftLabelChunk(chunk.ids[::-1], chunk.probs[::-1])
+        with pytest.raises(ValueError, match="plan's order"):
+            student._gather_round(net.plan, net.dataset, net.soft_labels, 1, 1, 1)
+        with pytest.raises(ValueError, match="plan's order"):
+            student._gather_round(net.plan, net.dataset, net.soft_labels, 1, 2, 1)
+
+    def test_stale_labels_refused(self, fine_system):
+        """Labels still holding a point the plan dropped are refused rather
+        than sliced one row off."""
+        net = fine_system.student
+        net.plan.remove(net.plan.chunk_ids(2, 1)[0])
+        with pytest.raises(ValueError, match="plan's order"):
+            student._gather_round(net.plan, net.dataset, net.soft_labels, 2, 1, 1)

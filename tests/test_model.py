@@ -326,13 +326,23 @@ def _hard_stack(rng, members, n, k=10):
     """Member matrices whose elements mix softmax-like values with exact
     zeros, subnormals, powers of two, and sums built to land on, or within
     a hair of, a half-ulp tie (also where the float sum of rounding errors
-    itself rounds), in a random member order per element."""
+    itself rounds), in a random member order per element.
+
+    Element (0, 0) is always one the cascade cannot settle, so the fsum
+    fallback runs for every member count above one: a kind-6 near-tie in
+    construction order for M >= 3 (its error sum rounds, so the bound is
+    positive), and a non-finite value for M = 2 (two members leave a single,
+    exact error sum, so no finite element has a positive bound)."""
     out = np.empty((members, n, k))
     for i in range(n):
         for c in range(k):
             base = float(rng.uniform(0.25, 1.0))
             half = math.ulp(base) / 2
-            kind = int(rng.integers(7))
+            forced = i == 0 and c == 0 and members > 1
+            kind = 6 if forced else int(rng.integers(7))
+            if forced and members == 2:
+                out[:, i, c] = [np.inf, base]
+                continue
             if kind == 0:
                 vals = rng.dirichlet(np.ones(members)) * base
             elif kind == 1:
@@ -361,7 +371,7 @@ def _hard_stack(rng, members, n, k=10):
                     vals[q], vals[q + 1] = y, -y
                 if kind == 5 and members > 2:
                     vals[-1] = half * 2.0 ** -int(rng.integers(1, 40)) * rng.choice([-1, 1])
-            out[:, i, c] = vals[rng.permutation(members)]
+            out[:, i, c] = vals if forced else vals[rng.permutation(members)]
     return list(out)
 
 
