@@ -1,21 +1,38 @@
 """Lossless on-disk persistence of model states.
 
-Layout: ``<root>/<role>/<k>/<l>/<j>/<generation>.ckpt``, one record per
-file. Overwriting a logical key bumps the generation; superseded files are
-kept until prune() is called explicitly.
+Layout: one append-only log, ``<root>/store.log``, holds every record the
+store has saved. Saving a logical key again appends its record under the next
+generation; superseded records stay in the log until prune() compacts it. The
+index (key -> generation -> frame offset and size) lives in memory; opening a
+store rebuilds it in one pass over the log.
+
+Frame, little-endian: payload length (uint32), CRC-32 of the payload
+(uint32, zlib), then the payload, which is one encoded record.
 
 Record encoding, all little-endian: magic ``PKC1``, format version, key
 fields, architecture descriptor, rng cursor, the label-provenance snapshot
 (for a student key (k, l, j): the teacher ids of chunks 1..l, so it depends
 on the key alone), then the parameter vector as raw IEEE-754 binary64
 (bit-exact roundtrip).
+
+Crash rule: a save is one append and nothing calls fsync, so a killed process
+leaves at most a failing final frame (cut short, or zero-filled where the
+file grew but its data never reached the disk). Opening the store ignores
+that frame and writes nothing; the next save truncates it before appending.
+A failing frame with a valid frame after it is corruption and raises
+StorageError.
+
+One writing process per store at a time: a store appends at the end of the
+log as it last saw it, and a save or prune refuses a log whose size changed
+under it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
-import threading
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,11 +44,13 @@ from .model import ModelArch, ModelState
 MAGIC = b"PKC1"
 VERSION = 1
 ROLES = ("teacher", "student")
+LOG_NAME = "store.log"
 
 # magic, version, role, k, l, j, generation, arch kind, feature_dim,
 # num_classes, hidden_units, rng_cursor, provenance entry count, param count
 _HEADER = struct.Struct("<4sIBIIIIBIIIQIQ")
 _PROV_HEAD = struct.Struct("<II")
+_FRAME = struct.Struct("<II")  # payload length, CRC-32 of the payload
 
 
 @dataclass(frozen=True)
@@ -142,48 +161,105 @@ class StorageReport:
         return sum(t.bytes for t in self.per_role.values())
 
 
+def _frame(data: bytes, off: int) -> int | None:
+    """Payload size of the frame at off in data, or None when the frame is
+    cut short, too small to hold a record header or fails its CRC."""
+    start = off + _FRAME.size
+    if start > len(data):
+        return None
+    size, crc = _FRAME.unpack_from(data, off)
+    if size < _HEADER.size or start + size > len(data) \
+            or zlib.crc32(data[start:start + size]) != crc:
+        return None
+    return size
+
+
+def _valid_frame_after(data: bytes, off: int) -> bool:
+    """Whether a valid frame starts anywhere after the frame at off. Every
+    payload starts with MAGIC, so only those positions are candidates."""
+    pos = data.find(MAGIC, off + _FRAME.size + 1)
+    while pos != -1:
+        if _frame(data, pos - _FRAME.size) is not None:
+            return True
+        pos = data.find(MAGIC, pos + 1)
+    return False
+
+
 class CheckpointStore:
-    """Durable generation-tracked checkpoint files under one root directory."""
+    """Generation-tracked checkpoint records in one append-only log file."""
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._index: dict[CheckpointKey, dict[int, int]] = {}  # key -> {gen: bytes}
-        for path in self.root.glob("*/*/*/*/*.ckpt"):
-            role, k, l, j = path.parent.parts[-4:]
-            if role not in ROLES:
-                continue
-            key = CheckpointKey(role, int(k), int(l), int(j))
-            self._index.setdefault(key, {})[int(path.stem)] = path.stat().st_size
+        self.log = self.root / LOG_NAME
+        # key -> {generation: (frame offset, payload size)}
+        self._index: dict[CheckpointKey, dict[int, tuple[int, int]]] = {}
+        self._end = 0  # end of the last valid frame
+        self._size = 0  # size of the log as this store last read or wrote it
+        try:
+            data = self.log.read_bytes()
+        except FileNotFoundError:
+            if any((self.root / role).is_dir() for role in ROLES):
+                raise StorageError(
+                    f"{self.root} holds the earlier one-file-per-checkpoint layout, "
+                    f"which is no longer read; stores are now one {LOG_NAME} file "
+                    f"(retrain to rebuild it)") from None
+            return
+        except OSError as exc:
+            raise StorageError(f"cannot read {self.log}: {exc}") from exc
+        self._size = len(data)
+        self._end = self._scan(data)
 
-    def _path(self, key: CheckpointKey, generation: int) -> Path:
-        return self.root / key.role / str(key.k) / str(key.l) / str(key.j) \
-            / f"{generation}.ckpt"
+    def _scan(self, data: bytes) -> int:
+        """Index every frame of the log; returns the end of the last valid one."""
+        off = 0
+        while off < len(data):
+            size = _frame(data, off)
+            if size is None:
+                if _valid_frame_after(data, off):
+                    raise StorageError(f"{self.log}: corrupt frame at byte {off}")
+                return off  # a torn final frame
+            magic, version, role_ix, k, l, j, generation = \
+                _HEADER.unpack_from(data, off + _FRAME.size)[:7]
+            try:
+                if magic != MAGIC or version != VERSION or role_ix >= len(ROLES):
+                    raise ValueError("not a checkpoint record")
+                key = CheckpointKey(ROLES[role_ix], k, l, j)
+            except ValueError as exc:
+                raise StorageError(f"{self.log}: bad record at byte {off}: {exc}") from None
+            gens = self._index.setdefault(key, {})
+            if generation in gens:
+                raise StorageError(f"{self.log}: {key}@{generation} stored twice")
+            gens[generation] = (off, size)
+            off += _FRAME.size + size
+        return off
+
+    def _check_size(self, size: int) -> None:
+        if size != self._size:
+            raise StorageError(f"{self.log} changed since this store last read or "
+                               f"wrote it; one writing process per store at a time")
 
     def save(self, key: CheckpointKey, record: CheckpointRecord) -> CheckpointRecord:
-        """Write a record under the next generation for this key; returns the
+        """Append a record under the next generation for this key; returns the
         stored record (generation and byte_size filled in)."""
-        with self._lock:
-            gens = self._index.setdefault(key, {})
-            generation = max(gens, default=0) + 1
-            gens[generation] = 0  # reserve
+        generation = max(self._index.get(key, ()), default=0) + 1
         record.key = key
         record.generation = generation
         data = encode_record(record)
-        path = self._path(key, generation)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
+            with open(self.log, "ab") as fh:
+                self._check_size(fh.tell())
+                if self._size != self._end:
+                    fh.truncate(self._end)  # drop a torn final frame
+                fh.write(_FRAME.pack(len(data), zlib.crc32(data)) + data)
         except OSError as exc:
-            with self._lock:
-                del self._index[key][generation]
+            with contextlib.suppress(OSError):  # a partial frame is a torn one
+                self._size = self.log.stat().st_size
             raise StorageError(f"cannot write checkpoint {key}: {exc}") from exc
+        self._index.setdefault(key, {})[generation] = (self._end, len(data))
+        self._end += _FRAME.size + len(data)
+        self._size = self._end
         record.byte_size = len(data)
-        with self._lock:
-            self._index[key][generation] = len(data)
         return record
 
     def latest_generation(self, key: CheckpointKey) -> int | None:
@@ -201,13 +277,19 @@ class CheckpointStore:
             generation = max(gens)
         elif generation not in gens:
             raise NotFoundError(f"no generation {generation} for {key}")
+        off, size = gens[generation]
         try:
-            data = self._path(key, generation).read_bytes()
+            with open(self.log, "rb") as fh:
+                fh.seek(off)
+                frame = fh.read(_FRAME.size + size)
         except OSError as exc:
             raise StorageError(f"cannot read checkpoint {key}: {exc}") from exc
-        record = decode_record(data)
-        if record.key != key:
-            raise StorageError(f"checkpoint file for {key} contains {record.key}")
+        if _frame(frame, 0) != size:
+            raise StorageError(f"checkpoint {key}@{generation} fails its frame check")
+        record = decode_record(frame[_FRAME.size:])
+        if (record.key, record.generation) != (key, generation):
+            raise StorageError(f"checkpoint frame for {key}@{generation} contains "
+                               f"{record.key}@{record.generation}")
         return record
 
     def keys(self, role: str | None = None) -> list[CheckpointKey]:
@@ -215,23 +297,37 @@ class CheckpointStore:
                       key=lambda k: (k.role, k.k, k.l, k.j))
 
     def storage_report(self) -> StorageReport:
+        """Record count and encoded record bytes per role (frame headers aside)."""
         report = StorageReport({role: RoleTotals() for role in ROLES})
         for key, gens in self._index.items():
             totals = report.per_role[key.role]
             totals.count += len(gens)
-            totals.bytes += sum(gens.values())
+            totals.bytes += sum(size for _, size in gens.values())
         return report
 
     def prune(self) -> int:
-        """Delete all superseded generations; returns the number removed."""
-        removed = 0
-        with self._lock:
-            for key, gens in self._index.items():
-                if len(gens) <= 1:
-                    continue
-                latest = max(gens)
-                for gen in [g for g in gens if g != latest]:
-                    self._path(key, gen).unlink(missing_ok=True)
-                    del gens[gen]
-                    removed += 1
+        """Compact the log to the latest generation of every key, so superseded
+        bytes leave the disk; returns the number of records removed."""
+        if not self._index:
+            return 0
+        try:
+            data = self.log.read_bytes()
+        except OSError as exc:
+            raise StorageError(f"cannot read {self.log}: {exc}") from exc
+        self._check_size(len(data))
+        latest = sorted(((gens[max(gens)], key, max(gens))
+                         for key, gens in self._index.items()), key=lambda t: t[0])
+        index, frames, end = {}, [], 0
+        for (off, size), key, generation in latest:
+            frames.append(data[off:off + _FRAME.size + size])
+            index[key] = {generation: (end, size)}
+            end += _FRAME.size + size
+        tmp = self.log.with_name(LOG_NAME + ".tmp")
+        try:
+            tmp.write_bytes(b"".join(frames))
+            os.replace(tmp, self.log)
+        except OSError as exc:
+            raise StorageError(f"cannot compact {self.log}: {exc}") from exc
+        removed = sum(len(gens) for gens in self._index.values()) - len(index)
+        self._index, self._end, self._size = index, end, end
         return removed

@@ -1,7 +1,8 @@
 """Command-line harness: train, unlearn, simulate, analyze.
 
 Exit codes: 0 success, 2 configuration error, 3 data error (parse,
-dimension, missing point), 4 verification failure.
+dimension, missing point) or an unreadable checkpoint store, 4 verification
+failure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 from .costmodel import (read_ledger_csv, simulate_teacher_requests, speedup_vs_n,
                         write_ledger_csv)
 from .data import SyntheticSpec, gen_synthetic, load_csv
-from .errors import ConfigError, DataError, NotFoundError
+from .errors import ConfigError, DataError, NotFoundError, StorageError
 from .model import ModelArch, TrainHyper, mix_seed
 from .student import MODES, evaluate_accuracy
 from .system import load_system, save_manifest, snapshot, train_system
@@ -434,6 +435,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except StorageError as exc:
+        print(f"storage error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoints import CheckpointKey, CheckpointStore, record_state
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan
@@ -200,7 +202,10 @@ def load_system(path) -> TrainedSystem:
     soft_labels = {}
     for key, entry in sdoc["soft_labels"].items():
         k, l = (int(v) for v in key.split(","))
-        soft_labels[(k, l)] = SoftLabelChunk(entry["ids"], entry["probs"])
+        # an emptied chunk is stored as "probs": [], which loads 1-d
+        probs = np.asarray(entry["probs"], dtype=np.float64).reshape(
+            len(entry["ids"]), student_dataset.num_classes)
+        soft_labels[(k, l)] = SoftLabelChunk(entry["ids"], probs)
     constituents = []
     for k in range(1, sdoc["constituents"] + 1):
         c_k = student_plan.chunks_in_shard(k)

@@ -1,4 +1,7 @@
-"""Checkpoint binary format, the on-disk store, generations and pruning."""
+"""Checkpoint binary format, the on-disk log store, generations, pruning and
+the crash rule."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +9,9 @@ import pytest
 from purgekd import (CheckpointKey, CheckpointRecord, CheckpointStore,
                      ModelArch, NotFoundError, StorageError, init_model)
 from purgekd.checkpoints import decode_record, encode_record, state_record
+
+
+FRAME_HEAD = 8  # payload length and CRC-32 before every record
 
 
 def _random_record(rng, with_provenance=True):
@@ -136,9 +142,9 @@ class TestStore:
             r = _random_record(rng)
             store.save(r.key, r)
         report = store.storage_report()
-        disk = sorted(root.rglob("*.ckpt"))
-        assert report.total_count == len(disk)
-        assert report.total_bytes == sum(p.stat().st_size for p in disk)
+        assert report.total_count == 10
+        assert (root / "store.log").stat().st_size == \
+            report.total_bytes + FRAME_HEAD * report.total_count
         assert set(report.per_role) <= {"teacher", "student"}
 
     def test_prune_keeps_latest_generation(self, tmp_path):
@@ -168,3 +174,135 @@ class TestStore:
             store.save(key, state_record(key, init_model(arch, seed=k)))
         assert {key.k for key in store.keys("teacher")} == {1, 2}
         assert {key.k for key in store.keys("student")} == {1}
+
+
+def _fill(store, rng, count):
+    """Save count random records, some keys several times; returns
+    {(key, generation): params} of everything saved."""
+    saved, keys = {}, []
+    for _ in range(count):
+        record = _random_record(rng)
+        if keys and rng.integers(3) == 0:
+            key, arch = keys[int(rng.integers(len(keys)))]
+            record = CheckpointRecord(key, arch, rng.normal(size=arch.param_count),
+                                      int(rng.integers(1 << 40)))
+        else:
+            keys.append((record.key, record.arch))
+        out = store.save(record.key, record)
+        saved[(out.key, out.generation)] = out.params.copy()
+    return saved
+
+
+def _assert_holds(store, saved):
+    assert store.storage_report().total_count == len(saved)
+    for (key, generation), params in saved.items():
+        np.testing.assert_array_equal(store.load(key, generation).params, params)
+
+
+def _frame_starts(log):
+    data = log.read_bytes()
+    starts, off = [], 0
+    while off < len(data):
+        starts.append(off)
+        off += FRAME_HEAD + struct.unpack_from("<I", data, off)[0]
+    return starts
+
+
+class TestLog:
+    def test_one_file_per_store(self, tmp_path):
+        root = tmp_path / "s"
+        saved = _fill(CheckpointStore(root), np.random.default_rng(20), 100)
+        assert len({key for key, _ in saved}) < len(saved)  # generations > 1
+        assert [p.name for p in root.iterdir()] == ["store.log"]
+        _assert_holds(CheckpointStore(root), saved)
+
+    @pytest.mark.parametrize("damage", ["cut", "zeroed"])
+    def test_torn_final_frame_is_dropped(self, tmp_path, damage):
+        rng = np.random.default_rng(21)
+        root = tmp_path / "s"
+        saved = _fill(CheckpointStore(root), rng, 12)
+        log = root / "store.log"
+        intact = log.read_bytes()
+        last = _frame_starts(log)[-1]
+        if damage == "cut":  # a final append that stopped mid-payload
+            log.write_bytes(intact[:last + FRAME_HEAD + 30])
+        else:  # the file grew but the final frame's data never landed
+            log.write_bytes(intact[:last] + bytes(len(intact) - last))
+        damaged = log.read_bytes()
+        key, generation = list(saved)[-1]
+        del saved[(key, generation)]
+
+        reopened = CheckpointStore(root)
+        assert log.read_bytes() == damaged  # opening writes nothing
+        _assert_holds(reopened, saved)
+        assert reopened.latest_generation(key) != generation
+
+        saved.update(_fill(reopened, rng, 3))
+        report = reopened.storage_report()  # the torn frame was truncated
+        assert log.stat().st_size == report.total_bytes + FRAME_HEAD * report.total_count
+        _assert_holds(CheckpointStore(root), saved)
+
+    def test_corrupt_middle_frame_raises(self, tmp_path):
+        root = tmp_path / "s"
+        _fill(CheckpointStore(root), np.random.default_rng(22), 12)
+        log = root / "store.log"
+        data = bytearray(log.read_bytes())
+        data[_frame_starts(log)[5] + FRAME_HEAD + 50] ^= 0x01
+        log.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match="corrupt frame"):
+            CheckpointStore(root)
+
+    def test_prune_compacts(self, tmp_path):
+        rng = np.random.default_rng(23)
+        root = tmp_path / "s"
+        store = CheckpointStore(root)
+        record = _random_record(rng)
+        old = store.save(record.key, record)
+        old_bytes = old.params.astype("<f8").tobytes()
+        _fill(store, rng, 20)
+        store.save(record.key, CheckpointRecord(record.key, record.arch,
+                                                record.params + 1.0, 3))
+        log = root / "store.log"
+        assert old_bytes in log.read_bytes()
+        before = log.stat().st_size
+
+        removed = store.prune()
+        assert removed >= 1
+        assert old_bytes not in log.read_bytes()
+        assert log.stat().st_size < before
+        assert [p.name for p in root.iterdir()] == ["store.log"]
+        report = store.storage_report()
+        assert log.stat().st_size == report.total_bytes + FRAME_HEAD * report.total_count
+
+        reopened = CheckpointStore(root)
+        assert reopened.keys() == store.keys()
+        assert reopened.storage_report() == report
+        for key in store.keys():
+            generation = store.latest_generation(key)
+            assert reopened.latest_generation(key) == generation
+            np.testing.assert_array_equal(reopened.load(key).params,
+                                          store.load(key, generation).params)
+        more = _fill(reopened, rng, 2)  # the compacted log takes appends
+        for key, generation in more:
+            assert generation == (store.latest_generation(key) or 0) + 1
+
+    def test_old_layout_refused(self, tmp_path):
+        root = tmp_path / "s"
+        (root / "teacher" / "1" / "1" / "1").mkdir(parents=True)
+        (root / "teacher" / "1" / "1" / "1" / "1.ckpt").write_bytes(b"PKC1")
+        with pytest.raises(StorageError, match="layout"):
+            CheckpointStore(root)
+
+    def test_second_writer_refused(self, tmp_path):
+        rng = np.random.default_rng(24)
+        first = CheckpointStore(tmp_path / "s")
+        _fill(first, rng, 2)
+        second = CheckpointStore(tmp_path / "s")
+        _fill(second, rng, 1)
+        record = _random_record(rng)
+        with pytest.raises(StorageError, match="one writing process"):
+            first.save(record.key, record)
+        _assert_holds(CheckpointStore(tmp_path / "s"),
+                      {(k, g): second.load(k, g).params
+                       for k in second.keys()
+                       for g in range(1, second.latest_generation(k) + 1)})

@@ -3,6 +3,7 @@ byte-stable outputs."""
 
 import json
 import shutil
+import struct
 
 import pytest
 
@@ -122,6 +123,24 @@ class TestUnlearn:
         bad.write_text("seq,target_kind,point_id\n1,student_point,424242\n")
         assert main(["unlearn", "--system", str(out),
                      "--requests", str(bad)]) == 3
+
+    def test_corrupt_store_exits_3(self, config_path, tmp_path, capsys):
+        out = _train(config_path, tmp_path / "run")
+        log = out / "checkpoints" / "store.log"
+        data = bytearray(log.read_bytes())
+        starts, off = [], 0
+        while off < len(data):  # frames: payload length, CRC-32, payload
+            starts.append(off)
+            off += 8 + struct.unpack_from("<I", data, off)[0]
+        middle = starts[len(starts) // 2]
+        data[middle + 8 + 40] ^= 0xFF
+        log.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["unlearn", "--system", str(out),
+                     "--requests", str(out / "requests.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("storage error:")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_reload_roundtrip_preserves_behavior(self, config_path, tmp_path):
         """Unlearning via a reloaded manifest matches unlearning in the

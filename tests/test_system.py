@@ -8,7 +8,7 @@ import pytest
 from purgekd import (CheckpointStore, ConfigError, ModelArch, ParseError,
                      SyntheticSpec, TrainHyper, UnlearnRequest, apply_request,
                      gen_synthetic, load_system, save_manifest, snapshot,
-                     train_system)
+                     train_system, verify_exactness)
 
 
 class TestTrainSystem:
@@ -100,3 +100,26 @@ class TestManifest:
         path.write_text(json.dumps({"kind": "grocery_list", "version": 1}))
         with pytest.raises(ParseError):
             load_system(path)
+
+    def test_emptied_chunk_reloads(self, system_factory, tmp_path):
+        """A chunk whose points were all removed is saved as "probs": [];
+        the reload still gives a system whose next removal verifies."""
+        dataset = gen_synthetic(SyntheticSpec(num_classes=3, points_per_class=20,
+                                              feature_dim=5, seed=7))
+        system = system_factory(dataset=dataset, slices_per_chunk=1)
+        emptied = system.student.plan.chunk_ids(1, 2)
+        assert len(emptied) == 15
+        for seq, pid in enumerate(emptied, 1):
+            apply_request(system, UnlearnRequest(seq, "student_point", pid))
+        assert len(system.student.soft_labels[(1, 2)]) == 0
+        path = tmp_path / "system.json"
+        save_manifest(system, path, system.store.root.name)
+        loaded = load_system(path)
+        assert loaded.student.soft_labels[(1, 2)].probs.shape == (0, 3)
+
+        request = UnlearnRequest(99, "student_point",
+                                 loaded.student.plan.chunk_ids(1, 1)[0])
+        before = snapshot(loaded)
+        apply_request(loaded, request)
+        verdict = verify_exactness(before, request, loaded)
+        assert verdict.passed, verdict.failures
