@@ -10,10 +10,11 @@ Frame, little-endian: payload length (uint32), CRC-32 of the payload
 (uint32, zlib), then the payload, which is one encoded record.
 
 Record encoding, all little-endian: magic ``PKC1``, format version, key
-fields, architecture descriptor, rng cursor, the label-provenance snapshot
-(for a student key (k, l, j): the teacher ids of chunks 1..l, so it depends
-on the key alone), then the parameter vector as raw IEEE-754 binary64
-(bit-exact roundtrip).
+fields, architecture descriptor, rng cursor, then the parameter vector as
+raw IEEE-754 binary64 (bit-exact roundtrip). A record holds a model state
+only; which teachers labeled a student's chunks follows from the mode and
+the mapping in the manifest. A log of an earlier format version is refused
+(retrain to rebuild it).
 
 Crash rule: a save is one append and nothing calls fsync, so a killed process
 leaves at most a failing final frame (cut short, or zero-filled where the
@@ -42,14 +43,13 @@ from .errors import NotFoundError, StorageError
 from .model import ModelArch, ModelState
 
 MAGIC = b"PKC1"
-VERSION = 1
+VERSION = 2
 ROLES = ("teacher", "student")
 LOG_NAME = "store.log"
 
 # magic, version, role, k, l, j, generation, arch kind, feature_dim,
-# num_classes, hidden_units, rng_cursor, provenance entry count, param count
-_HEADER = struct.Struct("<4sIBIIIIBIIIQIQ")
-_PROV_HEAD = struct.Struct("<II")
+# num_classes, hidden_units, rng_cursor, param count
+_HEADER = struct.Struct("<4sIBIIIIBIIIQQ")
 _FRAME = struct.Struct("<II")  # payload length, CRC-32 of the payload
 
 
@@ -84,16 +84,12 @@ class CheckpointRecord:
     arch: ModelArch
     params: np.ndarray
     rng_cursor: int
-    provenance: tuple = ()  # ((chunk, (teacher ids...)), ...) of chunks 1..l
     generation: int = 0
     byte_size: int = 0
 
 
-def state_record(key: CheckpointKey, state: ModelState,
-                 provenance: tuple = ()) -> CheckpointRecord:
-    return CheckpointRecord(key, state.arch, state.params.copy(), state.rng_cursor,
-                            tuple((int(l), tuple(int(m) for m in ms))
-                                  for l, ms in provenance))
+def state_record(key: CheckpointKey, state: ModelState) -> CheckpointRecord:
+    return CheckpointRecord(key, state.arch, state.params.copy(), state.rng_cursor)
 
 
 def record_state(record: CheckpointRecord) -> ModelState:
@@ -108,38 +104,29 @@ def encode_record(record: CheckpointRecord) -> bytes:
         record.key.k, record.key.l, record.key.j, record.generation,
         ("softmax_linear", "one_hidden_layer").index(arch.kind),
         arch.feature_dim, arch.num_classes, arch.hidden_units or 0,
-        record.rng_cursor, len(record.provenance), len(params))
-    prov = b"".join(
-        _PROV_HEAD.pack(l, len(ms)) + struct.pack(f"<{len(ms)}I", *ms)
-        for l, ms in record.provenance)
-    return head + prov + params.tobytes()
+        record.rng_cursor, len(params))
+    return head + params.tobytes()
+
+
+def _version_error(version: int, where) -> StorageError:
+    return StorageError(f"{where} holds checkpoint format version {version}, this "
+                        f"program reads version {VERSION} only; retrain to rebuild it")
 
 
 def decode_record(data: bytes) -> CheckpointRecord:
     if len(data) < _HEADER.size or data[:4] != MAGIC:
         raise StorageError("not a checkpoint record (bad magic)")
     (_, version, role_ix, k, l, j, gen, kind_ix, dim, classes, hidden,
-     cursor, prov_count, param_count) = _HEADER.unpack_from(data)
+     cursor, param_count) = _HEADER.unpack_from(data)
     if version != VERSION:
-        raise StorageError(f"unsupported checkpoint version {version}")
+        raise _version_error(version, "record")
     arch = ModelArch(("softmax_linear", "one_hidden_layer")[kind_ix], dim, classes,
                      hidden or None)
-    off = _HEADER.size
-    try:
-        prov = []
-        for _ in range(prov_count):
-            chunk, n = _PROV_HEAD.unpack_from(data, off)
-            off += _PROV_HEAD.size
-            prov.append((chunk, struct.unpack_from(f"<{n}I", data, off)))
-            off += 4 * n
-        params = np.frombuffer(data, dtype="<f8", count=param_count,
-                               offset=off).copy()
-    except (struct.error, ValueError) as exc:
-        raise StorageError(f"checkpoint truncated: {exc}") from None
-    if len(params) != param_count or param_count != arch.param_count:
+    if len(data) != _HEADER.size + 8 * param_count or param_count != arch.param_count:
         raise StorageError("checkpoint truncated or inconsistent")
+    params = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).copy()
     return CheckpointRecord(CheckpointKey(ROLES[role_ix], k, l, j), arch, params,
-                            cursor, tuple(prov), gen, len(data))
+                            cursor, gen, len(data))
 
 
 @dataclass
@@ -221,8 +208,10 @@ class CheckpointStore:
                 return off  # a torn final frame
             magic, version, role_ix, k, l, j, generation = \
                 _HEADER.unpack_from(data, off + _FRAME.size)[:7]
+            if magic == MAGIC and version != VERSION:
+                raise _version_error(version, self.log)
             try:
-                if magic != MAGIC or version != VERSION or role_ix >= len(ROLES):
+                if magic != MAGIC or role_ix >= len(ROLES):
                     raise ValueError("not a checkpoint record")
                 key = CheckpointKey(ROLES[role_ix], k, l, j)
             except ValueError as exc:

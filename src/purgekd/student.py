@@ -102,13 +102,6 @@ def chunk_teacher_ids(mode: str, mapping: ConstituentMapping, k: int,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _label_provenance(mode: str, mapping: ConstituentMapping) -> dict:
-    """(k, l) -> teacher member ids labeling chunk l of constituent k."""
-    return {(k, l): chunk_teacher_ids(mode, mapping, k, l)
-            for k in range(1, mapping.num_students + 1)
-            for l in range(1, mapping.chunk_count(k) + 1)}
-
-
 @dataclass
 class StudentNetwork:
     constituents: list[ModelState]
@@ -130,16 +123,12 @@ class StudentNetwork:
     def provenance(self) -> dict:
         """(k, l) -> teacher member ids labeling chunk l of constituent k;
         fixed by the mode and the mapping."""
-        return _label_provenance(self.mode, self.mapping)
+        return {(k, l): chunk_teacher_ids(self.mode, self.mapping, k, l)
+                for k in range(1, self.mapping.num_students + 1)
+                for l in range(1, self.mapping.chunk_count(k) + 1)}
 
     def constituent_hyper(self, k: int) -> TrainHyper:
         return model.stream_hyper(self.hyper, SEED_STUDENT, k)
-
-
-def _provenance_snapshot(provenance: dict, k: int, l: int) -> tuple:
-    """Provenance of constituent k's chunks 1..l, as a checkpoint records it."""
-    return tuple(sorted((i, tuple(ms)) for (kk, i), ms in provenance.items()
-                        if kk == k and i <= l))
 
 
 def _chunk_probs(soft_labels: dict, plan: PartitionPlan, k: int, l: int) -> np.ndarray:
@@ -169,17 +158,21 @@ def _gather_round(plan: PartitionPlan, dataset: Dataset, soft_labels: dict,
 
 def run_student_round(state: ModelState, k: int, l: int, j: int,
                       plan: PartitionPlan, dataset: Dataset, soft_labels: dict,
-                      provenance: dict, epochs: int, hyper_k: TrainHyper,
-                      alpha: float, store: CheckpointStore, ledger: CostLedger,
+                      provenance, epochs: int, hyper_k: TrainHyper,
+                      alpha, store: CheckpointStore, ledger: CostLedger,
                       phase: str):
     """One slice round of constituent k: train on the cumulative data, store
-    the checkpoint, account the steps. Returns (state, steps)."""
+    the checkpoint, account the steps. Returns (state, steps).
+
+    provenance and alpha are unused (hyper_k carries the hard-label weight);
+    they stay in the signature only because the benchmark under bench/ calls
+    this function positionally, until its next change drops them."""
     x, soft, hard = _gather_round(plan, dataset, soft_labels, k, l, j)
     state = model.train(state, x, soft, hard, epochs, hyper_k)
     steps = len(x) * epochs
     ledger.add(phase, "student", k, steps)
     key = CheckpointKey("student", k, l, j)
-    store.save(key, state_record(key, state, _provenance_snapshot(provenance, k, l)))
+    store.save(key, state_record(key, state))
     return state, steps
 
 
@@ -207,7 +200,6 @@ def train_student_constituent(k: int, plan: PartitionPlan, dataset: Dataset,
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     c_k = plan.chunks_in_shard(k)
-    provenance = _label_provenance(mode, mapping)
     epochs = budget.epochs_for(plan.total_slices_in_shard(k))
     state = model.init_model(arch, mix_seed(seed, SEED_STUDENT, k))
     init_key = CheckpointKey("student", k, 0, 0)
@@ -218,9 +210,8 @@ def train_student_constituent(k: int, plan: PartitionPlan, dataset: Dataset,
             mode, mapping, teacher_members, plan, dataset, k, l, hyper.temperature)
         for j in range(1, plan.slices_in_chunk(k, l) + 1):
             state, _ = run_student_round(state, k, l, j, plan, dataset,
-                                         soft_labels, provenance, epochs, hyper_k,
-                                         hyper.hard_label_weight, store, ledger,
-                                         "initial_train")
+                                         soft_labels, None, epochs, hyper_k,
+                                         None, store, ledger, "initial_train")
     return state
 
 

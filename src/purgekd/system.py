@@ -1,16 +1,23 @@
 """A trained teacher/student pair with its data, plans, checkpoint store and
-step ledger, plus lossless JSON manifest (de)serialization.
+step ledger, plus lossless manifest save/load.
 
-Manifests embed the datasets, partition plans, mapping and cached soft
-labels; model parameters live in the checkpoint store the manifest points
-at. Floats are serialized via repr, so a manifest reload is bit-exact, and
-reruns of the same configuration produce byte-identical manifests.
+A manifest (sorted JSON, floats via repr) holds structure only: seeds,
+architectures, hyperparameters, mapping, plans, the checkpoint directory,
+and each dataset's file name and digest. Model states live in the
+checkpoint store. A dataset is one file beside the manifest (three ``.npy``
+arrays: ids, labels, features), named by its blake2b digest and written only
+when absent, so a removal never rewrites it. Soft labels are derived on load
+from the loaded teachers; label inference is row-independent, so they equal
+the cached ones bit for bit. Reruns write byte-identical files.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +25,14 @@ import numpy as np
 from .checkpoints import CheckpointKey, CheckpointStore, record_state
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan
-from .errors import ConfigError, ParseError
-from .model import ModelArch, SoftLabelChunk, TrainHyper
+from .errors import ConfigError, ParseError, StorageError
+from .model import ModelArch, TrainHyper
 from .student import (ConstituentMapping, StudentNetwork, build_mapping,
-                      train_student_network)
+                      generate_chunk_labels, train_student_network)
 from .teacher import TeacherEnsemble, TrainBudget, train_teacher_ensemble
 
 MANIFEST_KIND = "system_manifest"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 @dataclass
@@ -92,45 +99,47 @@ def snapshot(system: TrainedSystem) -> TrainedSystem:
 # Manifest serialization
 # ----------------------------------------------------------------------------
 
-def _dataset_doc(ds: Dataset) -> dict:
-    return {"ids": ds.ids.tolist(), "labels": ds.labels.tolist(),
-            "features": ds.features.tolist(),
-            "num_classes": ds.num_classes}
+def _digest(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
-def _dataset_from(doc: dict) -> Dataset:
-    return Dataset(doc["ids"], doc["features"], doc["labels"], doc["num_classes"])
+def _save_dataset(ds: Dataset, directory: Path) -> dict:
+    """Write ds once into directory, named by its digest; returns its
+    manifest entry."""
+    buf = io.BytesIO()
+    for array in (ds.ids, ds.labels, ds.features):
+        np.save(buf, array, allow_pickle=False)
+    data = buf.getvalue()
+    digest = _digest(data)
+    name = f"dataset-{digest}.bin"
+    path = directory / name
+    if not path.exists():
+        tmp = path.with_name(name + ".tmp")
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    return {"file": name, "digest": digest, "num_classes": ds.num_classes}
 
 
-def _arch_doc(arch: ModelArch) -> dict:
-    doc = {"kind": arch.kind, "feature_dim": arch.feature_dim,
-           "num_classes": arch.num_classes}
-    if arch.hidden_units is not None:
-        doc["hidden_units"] = arch.hidden_units
-    return doc
-
-
-def _arch_from(doc: dict) -> ModelArch:
-    return ModelArch(doc["kind"], doc["feature_dim"], doc["num_classes"],
-                     doc.get("hidden_units"))
-
-
-def _hyper_doc(h: TrainHyper) -> dict:
-    return {"learning_rate": h.learning_rate, "batch_size": h.batch_size,
-            "hard_label_weight": h.hard_label_weight,
-            "temperature": h.temperature, "seed": h.seed}
-
-
-def _hyper_from(doc: dict) -> TrainHyper:
-    return TrainHyper(doc["learning_rate"], doc["batch_size"],
-                      doc["hard_label_weight"], doc["temperature"], doc["seed"])
+def _load_dataset(entry: dict, directory: Path) -> Dataset:
+    path = directory / entry["file"]
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if _digest(data) != entry["digest"]:
+        raise ParseError(f"{path}: contents do not match the manifest's digest")
+    buf = io.BytesIO(data)
+    ids, labels, features = (np.load(buf, allow_pickle=False) for _ in range(3))
+    return Dataset(ids, features, labels, entry["num_classes"])
 
 
 def save_manifest(system: TrainedSystem, path, checkpoint_dir: str) -> None:
-    """Write the system to a JSON manifest. checkpoint_dir is recorded
-    relative to the manifest's directory."""
+    """Write the system's manifest, plus any dataset file not yet beside it.
+    checkpoint_dir is recorded relative to the manifest's directory."""
+    path = Path(path)
     s = system.student
     t = system.teacher
+    student_dataset = _save_dataset(s.dataset, path.parent)
     doc = {
         "kind": MANIFEST_KIND,
         "version": MANIFEST_VERSION,
@@ -140,51 +149,61 @@ def save_manifest(system: TrainedSystem, path, checkpoint_dir: str) -> None:
         "budget": {"e_prime": system.budget.e_prime},
         "teacher": {
             "members": t.member_count,
-            "arch": _arch_doc(t.arch),
-            "hyper": _hyper_doc(t.hyper),
+            "arch": asdict(t.arch),
+            "hyper": asdict(t.hyper),
             "plan": {"seed": t.plan.seed, "slices": t.plan.raw_slices()},
-            "dataset": "shared" if system.shared_dataset else _dataset_doc(t.dataset),
+            "dataset": student_dataset if system.shared_dataset
+            else _save_dataset(t.dataset, path.parent),
         },
         "student": {
             "constituents": s.constituent_count,
             "mode": s.mode,
-            "arch": _arch_doc(s.arch),
-            "hyper": _hyper_doc(s.hyper),
+            "arch": asdict(s.arch),
+            "hyper": asdict(s.hyper),
             "mapping": [list(ms) for ms in s.mapping.assignment],
             "plan": {"seed": s.plan.seed, "slices": s.plan.raw_slices()},
-            "dataset": _dataset_doc(s.dataset),
-            "soft_labels": {
-                f"{k},{l}": {"ids": list(chunk.point_ids),
-                             "probs": chunk.probs.tolist()}
-                for (k, l), chunk in sorted(s.soft_labels.items())},
+            "dataset": student_dataset,
         },
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":"))
-                          + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
+                    encoding="utf-8")
 
 
 def load_system(path) -> TrainedSystem:
-    """Reconstruct a trained system from a manifest; final model states are
-    the latest checkpoint generations in the referenced store."""
+    """Reconstruct a trained system from a manifest: datasets from their
+    digest-checked files, final model states from the latest checkpoint
+    generations in the referenced store, soft labels derived from the
+    loaded teachers."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
-    if doc.get("kind") != MANIFEST_KIND:
+    if not isinstance(doc, dict) or doc.get("kind") != MANIFEST_KIND:
         raise ParseError(f"{path}: not a system manifest")
     if doc.get("version") != MANIFEST_VERSION:
-        raise ParseError(f"{path}: unsupported manifest version {doc.get('version')}")
+        raise ParseError(f"{path}: manifest version {doc.get('version')} is not "
+                         f"read (this program reads version {MANIFEST_VERSION}); "
+                         f"retrain to rebuild the run")
+    try:
+        return _system_from(doc, path.parent)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ParseError(f"{path}: malformed manifest "
+                         f"({type(exc).__name__}: {exc})") from None
 
-    store = CheckpointStore(path.parent / doc["checkpoint_dir"])
+
+def _system_from(doc: dict, root: Path) -> TrainedSystem:
+    store_root = root / doc["checkpoint_dir"]
+    if not store_root.is_dir():
+        raise StorageError(f"checkpoint directory {store_root} does not exist")
     budget = TrainBudget(doc["budget"]["e_prime"])
     seed = doc["seed"]
     shared = doc["shared_dataset"]
-
     sdoc = doc["student"]
-    student_dataset = _dataset_from(sdoc["dataset"])
     tdoc = doc["teacher"]
-    teacher_dataset = student_dataset if shared else _dataset_from(tdoc["dataset"])
+    student_dataset = _load_dataset(sdoc["dataset"], root)
+    teacher_dataset = student_dataset if shared else _load_dataset(tdoc["dataset"], root)
+    store = CheckpointStore(store_root)
 
     teacher_plan = PartitionPlan(tdoc["plan"]["slices"], tdoc["plan"]["seed"],
                                  teacher_dataset)
@@ -193,28 +212,27 @@ def load_system(path) -> TrainedSystem:
         r_t = teacher_plan.slices_in_chunk(m, 1)
         members.append(record_state(store.load(CheckpointKey("teacher", m, 1, r_t))))
     teacher = TeacherEnsemble(members, teacher_plan, teacher_dataset, budget,
-                              _arch_from(tdoc["arch"]), _hyper_from(tdoc["hyper"]),
+                              ModelArch(**tdoc["arch"]), TrainHyper(**tdoc["hyper"]),
                               seed)
 
     student_plan = PartitionPlan(sdoc["plan"]["slices"], sdoc["plan"]["seed"],
                                  student_dataset)
     mapping = ConstituentMapping(tuple(tuple(ms) for ms in sdoc["mapping"]))
+    mode = sdoc["mode"]
+    hyper = TrainHyper(**sdoc["hyper"])
     soft_labels = {}
-    for key, entry in sdoc["soft_labels"].items():
-        k, l = (int(v) for v in key.split(","))
-        # an emptied chunk is stored as "probs": [], which loads 1-d
-        probs = np.asarray(entry["probs"], dtype=np.float64).reshape(
-            len(entry["ids"]), student_dataset.num_classes)
-        soft_labels[(k, l)] = SoftLabelChunk(entry["ids"], probs)
     constituents = []
     for k in range(1, sdoc["constituents"] + 1):
         c_k = student_plan.chunks_in_shard(k)
+        for l in range(1, c_k + 1):
+            soft_labels[(k, l)] = generate_chunk_labels(
+                mode, mapping, members, student_plan, student_dataset, k, l,
+                hyper.temperature)
         r_last = student_plan.slices_in_chunk(k, c_k)
         constituents.append(record_state(
             store.load(CheckpointKey("student", k, c_k, r_last))))
     student = StudentNetwork(constituents, mapping, student_plan, student_dataset,
-                             sdoc["mode"], soft_labels, budget,
-                             _arch_from(sdoc["arch"]), _hyper_from(sdoc["hyper"]),
-                             seed)
+                             mode, soft_labels, budget, ModelArch(**sdoc["arch"]),
+                             hyper, seed)
     return TrainedSystem(seed, shared, teacher, student, store, CostLedger(),
                          budget)

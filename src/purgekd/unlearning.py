@@ -96,15 +96,14 @@ def _retrain_student_from(system, k: int, start_l: int, start_j: int) -> tuple[i
     state = record_state(record)
     epochs = net.budget.epochs_for(net.plan.total_slices_in_shard(k))
     hyper_k = net.constituent_hyper(k)
-    provenance = net.provenance
     steps = 0
     for l in range(start_l, net.plan.chunks_in_shard(k) + 1):
         first_j = start_j if l == start_l else 1
         for j in range(first_j, net.plan.slices_in_chunk(k, l) + 1):
             state, n = run_student_round(
-                state, k, l, j, net.plan, net.dataset, net.soft_labels,
-                provenance, epochs, hyper_k, net.hyper.hard_label_weight,
-                system.store, system.ledger, "student_retrain")
+                state, k, l, j, net.plan, net.dataset, net.soft_labels, None,
+                epochs, hyper_k, None, system.store, system.ledger,
+                "student_retrain")
             steps += n
     net.constituents[k - 1] = state
     return steps, f"{key}@{record.generation}"

@@ -3,7 +3,7 @@
 import pytest
 
 from purgekd import (CheckpointStore, ModelArch, SyntheticSpec, TrainHyper,
-                     gen_synthetic, train_system)
+                     UnlearnRequest, apply_request, gen_synthetic, train_system)
 
 
 @pytest.fixture
@@ -34,6 +34,21 @@ def small_system(small_dataset, tmp_path):
         store=CheckpointStore(tmp_path / "ckpt"),
         seed=11,
     )
+
+
+@pytest.fixture
+def streamed_system(small_system):
+    """small_system after a student-side, a teacher-side and a simultaneous
+    removal, in that order."""
+    system = small_system
+    apply_request(system, UnlearnRequest(
+        1, "student_point", system.student.plan.slice_ids(1, 1, 1)[0]))
+    apply_request(system, UnlearnRequest(
+        2, "teacher_point", system.teacher.plan.slice_ids(3, 1, 2)[0]))
+    both = next(p for p in system.student.plan.slice_ids(2, 2, 1)
+                if p in system.teacher.plan)
+    apply_request(system, UnlearnRequest(3, "simultaneous", both))
+    return system
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from purgekd import model, student
+from purgekd import load_system, model, save_manifest, student
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -49,3 +49,12 @@ def test_run_student_round_binds_the_bench_call():
     signature = inspect.signature(student.run_student_round)
     for call in calls:
         signature.bind(*[None] * len(call.args), **{kw.arg: None for kw in call.keywords})
+
+
+def test_reload_gate_passes(streamed_system, tmp_path):
+    """The benchmark's bit-exact reload check holds after a mixed stream, so
+    a change to the manifest format cannot break that gate silently."""
+    expected = checks.fingerprint(streamed_system)
+    save_manifest(streamed_system, tmp_path / "reload.json",
+                  streamed_system.store.root.name)
+    assert checks.check_reload(expected, load_system(tmp_path / "reload.json")) == []

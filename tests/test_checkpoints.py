@@ -2,6 +2,7 @@
 the crash rule."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from purgekd.checkpoints import decode_record, encode_record, state_record
 FRAME_HEAD = 8  # payload length and CRC-32 before every record
 
 
-def _random_record(rng, with_provenance=True):
+def _random_record(rng):
     kind = "one_hidden_layer" if rng.integers(2) else "softmax_linear"
     hidden = int(rng.integers(2, 17)) if kind == "one_hidden_layer" else None
     arch = ModelArch(kind, int(rng.integers(1, 33)), int(rng.integers(2, 12)),
@@ -26,13 +27,7 @@ def _random_record(rng, with_provenance=True):
         role="teacher" if rng.integers(2) else "student",
         k=int(rng.integers(1, 100)), l=int(rng.integers(1, 50)),
         j=int(rng.integers(1, 50)))
-    provenance = ()
-    if with_provenance:
-        provenance = tuple(
-            (l, tuple(int(m) for m in rng.integers(1, 64,
-                                                   size=rng.integers(1, 6))))
-            for l in range(1, int(rng.integers(1, 5))))
-    return state_record(key, state, provenance)
+    return state_record(key, state)
 
 
 class TestKey:
@@ -59,7 +54,6 @@ class TestBinaryRoundTrip:
             assert back.key == record.key
             assert back.arch == record.arch
             assert back.rng_cursor == record.rng_cursor
-            assert back.provenance == record.provenance
             assert back.params.dtype == np.float64
             np.testing.assert_array_equal(back.params, record.params)
 
@@ -99,7 +93,6 @@ class TestStore:
         assert saved.generation == 1
         back = store.load(record.key)
         np.testing.assert_array_equal(back.params, record.params)
-        assert back.provenance == record.provenance
 
     def test_generations_bump_and_coexist(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -283,8 +276,10 @@ class TestLog:
             np.testing.assert_array_equal(reopened.load(key).params,
                                           store.load(key, generation).params)
         more = _fill(reopened, rng, 2)  # the compacted log takes appends
-        for key, generation in more:
-            assert generation == (store.latest_generation(key) or 0) + 1
+        for key in {key for key, _ in more}:  # _fill may save a key twice
+            start = store.latest_generation(key) or 0
+            generations = sorted(g for k, g in more if k == key)
+            assert generations == list(range(start + 1, start + 1 + len(generations)))
 
     def test_old_layout_refused(self, tmp_path):
         root = tmp_path / "s"
@@ -292,6 +287,21 @@ class TestLog:
         (root / "teacher" / "1" / "1" / "1" / "1.ckpt").write_bytes(b"PKC1")
         with pytest.raises(StorageError, match="layout"):
             CheckpointStore(root)
+
+    def test_version_1_log_refused(self, tmp_path):
+        """A log of the earlier record format (which held label provenance)
+        is refused with a message that names the version."""
+        root = tmp_path / "s"
+        root.mkdir()
+        v1_header = struct.Struct("<4sIBIIIIBIIIQIQ")
+        payload = v1_header.pack(b"PKC1", 1, 0, 1, 1, 1, 1, 0, 5, 3, 0, 0, 0, 18) \
+            + np.zeros(18).tobytes()
+        (root / "store.log").write_bytes(
+            struct.pack("<II", len(payload), zlib.crc32(payload)) + payload)
+        with pytest.raises(StorageError, match=r"version 1\b.*retrain"):
+            CheckpointStore(root)
+        with pytest.raises(StorageError, match=r"version 1\b.*retrain"):
+            decode_record(payload)
 
     def test_second_writer_refused(self, tmp_path):
         rng = np.random.default_rng(24)

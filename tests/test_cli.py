@@ -8,6 +8,7 @@ import struct
 import pytest
 
 from purgekd.cli import main
+from purgekd.system import MANIFEST_VERSION
 
 BASE_CONFIG = {
     "seed": 3,
@@ -51,8 +52,11 @@ class TestTrain:
     def test_rerun_byte_identical(self, config_path, tmp_path):
         a = _train(config_path, tmp_path / "a")
         b = _train(config_path, tmp_path / "b")
+        datasets = [p.name for p in a.glob("dataset-*.bin")]
+        assert len(datasets) == 1
+        assert [p.name for p in b.glob("dataset-*.bin")] == datasets
         for name in ("system.json", "ledger.csv", "accuracy_report.json",
-                     "requests.csv"):
+                     "requests.csv", *datasets):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_set_override(self, config_path, tmp_path):
@@ -141,6 +145,63 @@ class TestUnlearn:
         err = capsys.readouterr().err
         assert err.startswith("storage error:")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_dataset_file_untouched(self, config_path, tmp_path):
+        out = _train(config_path, tmp_path / "run")
+        (dataset,) = out.glob("dataset-*.bin")
+        data, stat = dataset.read_bytes(), dataset.stat()
+        assert main(["unlearn", "--system", str(out),
+                     "--requests", str(out / "requests.csv")]) == 0
+        assert list(out.glob("dataset-*")) == [dataset]
+        assert dataset.read_bytes() == data
+        assert (dataset.stat().st_mtime_ns, dataset.stat().st_ino) == \
+            (stat.st_mtime_ns, stat.st_ino)
+
+    def test_malformed_manifest_exits_3(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "system.json").write_text(json.dumps(
+            {"kind": "system_manifest", "version": MANIFEST_VERSION}))
+        (run / "requests.csv").write_text("seq,target_kind,point_id\n")
+        assert main(["unlearn", "--system", str(run),
+                     "--requests", str(run / "requests.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "checkpoint_dir" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_missing_store_exits_3(self, config_path, tmp_path, capsys):
+        out = _train(config_path, tmp_path / "run")
+        shutil.move(str(out / "checkpoints"), str(tmp_path / "moved"))
+        capsys.readouterr()
+        assert main(["unlearn", "--system", str(out),
+                     "--requests", str(out / "requests.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("storage error:")
+        assert str(out / "checkpoints") in err and "does not exist" in err
+        assert not (out / "checkpoints").exists()
+
+    def test_changed_dataset_byte_exits_3(self, config_path, tmp_path, capsys):
+        out = _train(config_path, tmp_path / "run")
+        (dataset,) = out.glob("dataset-*.bin")
+        data = bytearray(dataset.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        dataset.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["unlearn", "--system", str(out),
+                     "--requests", str(out / "requests.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "digest" in err
+
+    def test_version_1_manifest_exits_3(self, config_path, tmp_path, capsys):
+        out = _train(config_path, tmp_path / "run")
+        doc = json.loads((out / "system.json").read_text())
+        doc["version"] = 1
+        (out / "system.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["unlearn", "--system", str(out),
+                     "--requests", str(out / "requests.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "manifest version 1" in err and "retrain" in err
 
     def test_reload_roundtrip_preserves_behavior(self, config_path, tmp_path):
         """Unlearning via a reloaded manifest matches unlearning in the

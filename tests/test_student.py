@@ -112,6 +112,22 @@ class TestLabels:
         for (k, l), members in net.provenance.items():
             assert members == (net.mapping.teachers_for(k)[l - 1],)
 
+    def test_provenance_map_follows_uneven_mapping(self, small_dataset,
+                                                   teacher_parts, tmp_path):
+        """The derived map has one entry per chunk of every constituent, also
+        when the mapping gives the constituents different chunk counts."""
+        ensemble, _, ledger = teacher_parts
+        net = train_student_network(
+            dataset=small_dataset, mapping=build_mapping(4, 2, [3, 1]),
+            teacher_members=ensemble.members, budget=TrainBudget(8),
+            arch=ModelArch("softmax_linear", 5, 3),
+            hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=2),
+            store=CheckpointStore(tmp_path / "s"), ledger=ledger,
+            mode="purge", seed=11, slices_per_chunk=2)
+        assert net.provenance == {(1, 1): (1,), (1, 2): (1, 2),
+                                  (1, 3): (1, 2, 3), (2, 1): (4,)}
+        assert net.provenance.keys() == net.soft_labels.keys()
+
     def test_labels_cover_chunks_exactly(self, small_dataset, teacher_parts,
                                          tmp_path):
         ensemble, _, ledger = teacher_parts
@@ -134,16 +150,6 @@ class TestTrainingLayout:
                     assert store.exists(CheckpointKey("student", k, l, j))
         trained = [key for key in store.keys("student") if key.j > 0]
         assert len(trained) == 2 * 2 * 2
-
-    def test_round_provenance_snapshot(self, small_dataset, teacher_parts,
-                                       tmp_path):
-        """Each student checkpoint records which teachers had labeled each
-        chunk trained so far."""
-        ensemble, _, ledger = teacher_parts
-        store = CheckpointStore(tmp_path / "s")
-        net = _train_student(small_dataset, ensemble, store, ledger)
-        record = store.load(CheckpointKey("student", 1, 2, 1))
-        assert record.provenance == ((1, (1,)), (2, (1, 2)))
 
     def test_ledger_matches_cumulative_round_sizes(self, small_dataset,
                                                    teacher_parts, tmp_path):

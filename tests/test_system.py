@@ -9,6 +9,7 @@ from purgekd import (CheckpointStore, ConfigError, ModelArch, ParseError,
                      SyntheticSpec, TrainHyper, UnlearnRequest, apply_request,
                      gen_synthetic, load_system, save_manifest, snapshot,
                      train_system, verify_exactness)
+from purgekd.system import MANIFEST_VERSION
 
 
 class TestTrainSystem:
@@ -101,9 +102,62 @@ class TestManifest:
         with pytest.raises(ParseError):
             load_system(path)
 
+    def test_malformed_manifest_is_a_parse_error(self, small_system, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"kind": "system_manifest",
+                                    "version": MANIFEST_VERSION}))
+        with pytest.raises(ParseError, match="checkpoint_dir"):
+            load_system(path)
+        save_manifest(small_system, path, "ckpt")
+        good = path.read_text()
+        for edit in (lambda d: d["teacher"].update(members="4"),
+                     lambda d: d["student"].pop("plan"),
+                     lambda d: d["student"]["dataset"].update(num_classes=None),
+                     lambda d: d.update(student=[]),
+                     lambda d: d["student"].update(mode="magic")):
+            doc = json.loads(good)
+            edit(doc)
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ParseError, match="malformed manifest"):
+                load_system(path)
+
+    def test_dataset_written_once_beside_the_manifest(self, small_system, tmp_path):
+        """A shared dataset is one digest-named file; saving again, or under
+        another manifest name, neither adds nor rewrites one."""
+        save_manifest(small_system, tmp_path / "system.json", "ckpt")
+        (dataset,) = tmp_path.glob("dataset-*.bin")
+        stat = dataset.stat()
+        save_manifest(small_system, tmp_path / "system.json", "ckpt")
+        save_manifest(small_system, tmp_path / "reload.json", "ckpt")
+        assert list(tmp_path.glob("dataset-*")) == [dataset]
+        assert (dataset.stat().st_mtime_ns, dataset.stat().st_ino) == \
+            (stat.st_mtime_ns, stat.st_ino)
+        doc = json.loads((tmp_path / "system.json").read_text())
+        assert doc["student"]["dataset"]["file"] == dataset.name
+        assert "soft_labels" not in doc["student"]
+
+    def test_reload_after_mixed_stream_is_bit_exact(self, streamed_system, tmp_path):
+        """Derived soft labels equal the cached ones bit for bit after
+        student-side, teacher-side and simultaneous removals."""
+        system = streamed_system
+        save_manifest(system, tmp_path / "system.json", "ckpt")
+        loaded = load_system(tmp_path / "system.json")
+        for side in ("teacher", "student"):
+            assert getattr(loaded, side).plan.raw_slices() == \
+                getattr(system, side).plan.raw_slices()
+        assert loaded.student.soft_labels.keys() == system.student.soft_labels.keys()
+        for key, chunk in system.student.soft_labels.items():
+            got = loaded.student.soft_labels[key]
+            assert got.ids.tobytes() == chunk.ids.tobytes()
+            assert got.probs.tobytes() == chunk.probs.tobytes()
+        for a, b in zip(loaded.student.constituents + loaded.teacher.members,
+                        system.student.constituents + system.teacher.members):
+            assert a.params.tobytes() == b.params.tobytes()
+            assert a.rng_cursor == b.rng_cursor
+
     def test_emptied_chunk_reloads(self, system_factory, tmp_path):
-        """A chunk whose points were all removed is saved as "probs": [];
-        the reload still gives a system whose next removal verifies."""
+        """A chunk whose points were all removed reloads with an empty
+        label array, and the reloaded system's next removal verifies."""
         dataset = gen_synthetic(SyntheticSpec(num_classes=3, points_per_class=20,
                                               feature_dim=5, seed=7))
         system = system_factory(dataset=dataset, slices_per_chunk=1)

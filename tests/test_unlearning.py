@@ -104,18 +104,25 @@ class TestStudentRemoval:
         assert report.teacher_steps == 0
         assert report.chunks_relabeled == ()
 
-    def test_replayed_records_keep_their_provenance(self, small_system):
-        """A replayed checkpoint records the same label provenance as the
-        generation it supersedes: chunks 1..l of its own key."""
+    def test_removals_keep_the_derived_provenance(self, small_system):
+        """Removals replay only the rounds that saw the point or a relabeled
+        chunk; the label provenance, derived from the mode and the mapping,
+        is the same afterwards and names exactly the relabeled chunks."""
         store = small_system.store
-        victim = small_system.student.plan.slice_ids(1, 1, 2)[0]
+        net = small_system.student
+        provenance = dict(net.provenance)
+        victim = net.plan.slice_ids(1, 1, 2)[0]
         apply_request(small_system, UnlearnRequest(0, "student_point", victim))
         replayed = [key for key in store.keys("student")
                     if store.latest_generation(key) > 1]
         assert [(key.k, key.l, key.j) for key in replayed] == \
             [(1, 1, 2), (1, 2, 1), (1, 2, 2)]
-        for key in replayed:
-            assert store.load(key).provenance == store.load(key, 1).provenance
+        victim = small_system.teacher.plan.slice_ids(2, 1, 1)[0]
+        _, report = apply_request(small_system,
+                                  UnlearnRequest(1, "teacher_point", victim))
+        assert net.provenance == provenance
+        assert report.chunks_relabeled == tuple(
+            key for key, members in sorted(provenance.items()) if 2 in members)
 
     def test_late_slice_cheaper_than_early(self, system_factory):
         """Removing from the last slice replays less than from the first."""
