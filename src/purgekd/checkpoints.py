@@ -96,6 +96,17 @@ def record_state(record: CheckpointRecord) -> ModelState:
     return ModelState(record.arch, record.params.copy(), record.rng_cursor)
 
 
+def revert_key(role: str, plan, k: int, l: int, j: int) -> CheckpointKey:
+    """Key of the checkpoint saved just before round (l, j) of shard k: the
+    previous slice of chunk l, else the last slice of chunk l - 1, else the
+    initial state."""
+    if j > 1:
+        return CheckpointKey(role, k, l, j - 1)
+    if l > 1:
+        return CheckpointKey(role, k, l - 1, plan.slices_in_chunk(k, l - 1))
+    return CheckpointKey(role, k, 0, 0)
+
+
 def encode_record(record: CheckpointRecord) -> bytes:
     arch = record.arch
     params = np.ascontiguousarray(record.params, dtype="<f8")

@@ -8,8 +8,10 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -94,6 +96,12 @@ def _field(cfg: dict, path: str, kind, default=..., required_msg=None):
     return value
 
 
+def _counts(value) -> bool:
+    """True for a list of integers >= 1."""
+    return isinstance(value, list) and all(
+        isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in value)
+
+
 def _dataset_from_config(cfg: dict, path: str, default_seed: int):
     kind = _field(cfg, f"{path}.kind", str)
     if kind == "synthetic":
@@ -158,17 +166,23 @@ def cmd_train(args) -> int:
     if mode not in MODES:
         raise ConfigError(f"student.mode: expected one of {MODES}, got {mode!r}")
     members = _field(cfg, "teacher.members", int)
+    teacher_slices = _field(cfg, "teacher.slices", int, 1)
     constituents = _field(cfg, "student.constituents", int)
     e_prime = _field(cfg, "budget.e_prime", int)
     for path, value in [("teacher.members", members),
+                        ("teacher.slices", teacher_slices),
                         ("student.constituents", constituents),
                         ("budget.e_prime", e_prime)]:
         if value < 1:
             raise ConfigError(f"{path}: must be >= 1, got {value}")
     slices_cfg = cfg.get("student", {}).get("slices_per_chunk", 1)
-    if not isinstance(slices_cfg, (int, list)):
-        raise ConfigError("student.slices_per_chunk: expected int or nested list")
+    if not (_counts([slices_cfg]) or isinstance(slices_cfg, list)
+            and all(map(_counts, slices_cfg))):
+        raise ConfigError("student.slices_per_chunk: expected an integer >= 1 or "
+                          "one list of integers >= 1 per constituent")
     mapping_sizes = cfg.get("mapping_sizes")
+    if mapping_sizes is not None and not _counts(mapping_sizes):
+        raise ConfigError("mapping_sizes: expected a list of integers >= 1")
 
     from .checkpoints import CheckpointStore
     store = CheckpointStore(out / "checkpoints")
@@ -176,7 +190,7 @@ def cmd_train(args) -> int:
         system = train_system(
             student_dataset=student_dataset, teacher_dataset=teacher_dataset,
             teacher_members=members,
-            teacher_slices=_field(cfg, "teacher.slices", int, 1),
+            teacher_slices=teacher_slices,
             student_constituents=constituents, slices_per_chunk=slices_cfg,
             mode=mode, e_prime=e_prime,
             teacher_arch=_arch_from_config(cfg, "teacher.arch",
@@ -252,7 +266,8 @@ def cmd_unlearn(args) -> int:
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
             if failed:
                 break
-    save_manifest(system, manifest, "checkpoints")
+    save_manifest(system, manifest,
+                  os.path.relpath(system.store.root, manifest.parent))
     write_ledger_csv(system.ledger, out / "ledger_unlearn.csv")
     if failed:
         rid, verdict = failed
@@ -323,6 +338,15 @@ def _collect_analysis_inputs(inputs):
     return accuracy, speedup_dirs, simulate_files
 
 
+@contextlib.contextmanager
+def _data_error(path):
+    """Report a malformed analysis input as a data error naming its file."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise DataError(f"{path}: malformed input ({type(exc).__name__}: {exc})") from None
+
+
 def cmd_analyze(args) -> int:
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
@@ -331,13 +355,11 @@ def cmd_analyze(args) -> int:
 
     groups: dict[tuple[int, str], list[dict]] = {}
     for path in accuracy_files:
-        try:
+        with _data_error(path):
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from None
-        if doc.get("kind") != "accuracy_report":
-            continue
-        groups.setdefault((doc["student_constituents"], doc["mode"]), []).append(doc)
+            if isinstance(doc, dict) and doc.get("kind") == "accuracy_report":
+                groups.setdefault((doc["student_constituents"], doc["mode"]),
+                                  []).append(doc)
     with open(out / "accuracy_vs_n.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["N", "mode", "runs", "mean_teacher_accuracy",
@@ -349,24 +371,25 @@ def cmd_analyze(args) -> int:
 
     speed_rows = []
     for directory in sorted(set(speedup_dirs)):
-        reports = []
-        with open(directory / "unlearn_reports.jsonl", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    reports.append(json.loads(line))
+        reports_path = directory / "unlearn_reports.jsonl"
+        with _data_error(reports_path), open(reports_path, encoding="utf-8") as fh:
+            reports = [json.loads(line) for line in fh if line.strip()]
+            steps = sum(r["student_steps"] for r in reports)
         ledger_path = directory / "ledger.csv"
         manifest_path = directory / "system.json"
         if not reports or not ledger_path.exists() or not manifest_path.exists():
             continue
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        initial = read_ledger_csv(ledger_path).total("initial_train", "student")
-        mean_steps = Fraction(sum(r["student_steps"] for r in reports), len(reports))
-        speed_rows.append(["measured", manifest["teacher"]["members"],
-                           manifest["student"]["constituents"], "", "",
-                           len(reports), float(mean_steps),
+        with _data_error(manifest_path):
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            sizes = manifest["teacher"]["members"], manifest["student"]["constituents"]
+        with _data_error(ledger_path):
+            initial = read_ledger_csv(ledger_path).total("initial_train", "student")
+        mean_steps = Fraction(steps, len(reports))
+        speed_rows.append(["measured", *sizes, "", "", len(reports),
+                           float(mean_steps),
                            float(Fraction(initial) / mean_steps) if mean_steps else ""])
     for path in simulate_files:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with _data_error(path), open(path, newline="", encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
                 speed_rows.append(["simulated", int(row["M"]), int(row["N"]),
                                    row["c"], row["r"], int(row["requests"]),

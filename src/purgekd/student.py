@@ -5,9 +5,11 @@ Each constituent k owns shard k, split into chunks. Chunk l is soft-labeled
 by the subensemble of the first l teachers mapped to k; chunks are further
 sliced, and the constituent trains on its cumulative data (all earlier
 chunks plus slices 1..j of the current chunk) for the per-slice epoch
-budget, checkpointing after every round. Two baseline labeling modes share
-the identical training path: naive_sisa labels every chunk with the full
-teacher ensemble, single_teacher labels chunk l with teacher l alone.
+budget, checkpointing after every round. One loop, ``replay_constituent``,
+runs the rounds from any (l, j) on: from (1, 1) for initial training and
+verification (which keeps no checkpoint), from the reverted round for
+unlearning. Two baseline labeling modes share this path: naive_sisa labels
+every chunk with the full ensemble, single_teacher chunk l with teacher l.
 """
 
 from __future__ import annotations
@@ -127,9 +129,6 @@ class StudentNetwork:
                 for k in range(1, self.mapping.num_students + 1)
                 for l in range(1, self.mapping.chunk_count(k) + 1)}
 
-    def constituent_hyper(self, k: int) -> TrainHyper:
-        return model.stream_hyper(self.hyper, SEED_STUDENT, k)
-
 
 def _chunk_probs(soft_labels: dict, plan: PartitionPlan, k: int, l: int) -> np.ndarray:
     """Soft-label rows of chunk (k, l), refused unless they follow the
@@ -159,10 +158,11 @@ def _gather_round(plan: PartitionPlan, dataset: Dataset, soft_labels: dict,
 def run_student_round(state: ModelState, k: int, l: int, j: int,
                       plan: PartitionPlan, dataset: Dataset, soft_labels: dict,
                       provenance, epochs: int, hyper_k: TrainHyper,
-                      alpha, store: CheckpointStore, ledger: CostLedger,
+                      alpha, store: CheckpointStore | None, ledger: CostLedger,
                       phase: str):
-    """One slice round of constituent k: train on the cumulative data, store
-    the checkpoint, account the steps. Returns (state, steps).
+    """One slice round of constituent k: train on the cumulative data,
+    account the steps and, unless store is None, store the checkpoint.
+    Returns (state, steps).
 
     provenance and alpha are unused (hyper_k carries the hard-label weight);
     they stay in the signature only because the benchmark under bench/ calls
@@ -171,8 +171,30 @@ def run_student_round(state: ModelState, k: int, l: int, j: int,
     state = model.train(state, x, soft, hard, epochs, hyper_k)
     steps = len(x) * epochs
     ledger.add(phase, "student", k, steps)
-    key = CheckpointKey("student", k, l, j)
-    store.save(key, state_record(key, state))
+    if store is not None:
+        key = CheckpointKey("student", k, l, j)
+        store.save(key, state_record(key, state))
+    return state, steps
+
+
+def replay_constituent(state: ModelState, k: int, l: int, j: int,
+                       plan: PartitionPlan, dataset: Dataset, soft_labels: dict,
+                       budget: TrainBudget, hyper: TrainHyper,
+                       store: CheckpointStore | None, ledger: CostLedger,
+                       phase: str):
+    """Run constituent k's rounds from (l, j) to its last round, starting
+    from state, the state before round (l, j), on the given soft labels.
+    Returns (state, steps)."""
+    epochs = budget.epochs_for(plan.total_slices_in_shard(k))
+    hyper_k = model.stream_hyper(hyper, SEED_STUDENT, k)
+    steps = 0
+    for chunk in range(l, plan.chunks_in_shard(k) + 1):
+        first = j if chunk == l else 1
+        for q in range(first, plan.slices_in_chunk(k, chunk) + 1):
+            state, n = run_student_round(state, k, chunk, q, plan, dataset,
+                                         soft_labels, None, epochs, hyper_k,
+                                         None, store, ledger, phase)
+            steps += n
     return state, steps
 
 
@@ -189,39 +211,14 @@ def generate_chunk_labels(mode: str, mapping: ConstituentMapping,
         temperature)
 
 
-def train_student_constituent(k: int, plan: PartitionPlan, dataset: Dataset,
-                              mapping: ConstituentMapping, teacher_members,
-                              budget: TrainBudget, arch: ModelArch,
-                              hyper: TrainHyper, store: CheckpointStore,
-                              ledger: CostLedger, mode: str, seed: int,
-                              soft_labels: dict) -> ModelState:
-    """Full training pass of one constituent: generate chunk labels as each
-    chunk arrives, then run its slice rounds. Fills soft_labels."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    c_k = plan.chunks_in_shard(k)
-    epochs = budget.epochs_for(plan.total_slices_in_shard(k))
-    state = model.init_model(arch, mix_seed(seed, SEED_STUDENT, k))
-    init_key = CheckpointKey("student", k, 0, 0)
-    store.save(init_key, state_record(init_key, state))
-    hyper_k = model.stream_hyper(hyper, SEED_STUDENT, k)
-    for l in range(1, c_k + 1):
-        soft_labels[(k, l)] = generate_chunk_labels(
-            mode, mapping, teacher_members, plan, dataset, k, l, hyper.temperature)
-        for j in range(1, plan.slices_in_chunk(k, l) + 1):
-            state, _ = run_student_round(state, k, l, j, plan, dataset,
-                                         soft_labels, None, epochs, hyper_k,
-                                         None, store, ledger, "initial_train")
-    return state
-
-
 def train_student_network(dataset: Dataset, mapping: ConstituentMapping,
                           teacher_members, budget: TrainBudget, arch: ModelArch,
                           hyper: TrainHyper, store: CheckpointStore,
                           ledger: CostLedger, mode: str, seed: int,
                           slices_per_chunk) -> StudentNetwork:
     """Partition the dataset into one shard per constituent (chunk counts set
-    by the mapping) and train every constituent.
+    by the mapping) and train every constituent: label its chunks, then
+    checkpoint its initial state and replay every round.
 
     slices_per_chunk is either a single int r or explicit per-shard
     sequences of R_{k,l}.
@@ -236,9 +233,18 @@ def train_student_network(dataset: Dataset, mapping: ConstituentMapping,
                           mix_seed(seed, SEED_STUDENT_PLAN))
 
     soft_labels: dict = {}
-    states = [train_student_constituent(
-        k, plan, dataset, mapping, teacher_members, budget, arch, hyper, store,
-        ledger, mode, seed, soft_labels) for k in range(1, n + 1)]
+    states = []
+    for k in range(1, n + 1):
+        for l in range(1, plan.chunks_in_shard(k) + 1):
+            soft_labels[(k, l)] = generate_chunk_labels(
+                mode, mapping, teacher_members, plan, dataset, k, l,
+                hyper.temperature)
+        state = model.init_model(arch, mix_seed(seed, SEED_STUDENT, k))
+        key = CheckpointKey("student", k, 0, 0)
+        store.save(key, state_record(key, state))
+        states.append(replay_constituent(state, k, 1, 1, plan, dataset,
+                                         soft_labels, budget, hyper, store,
+                                         ledger, "initial_train")[0])
     return StudentNetwork(states, mapping, plan, dataset, mode, soft_labels,
                           budget, arch, hyper, seed)
 

@@ -3,7 +3,10 @@ checkpoints after every slice, and exact unlearning by checkpoint reversion
 and replay.
 
 Each member m trains only on shard m: one chunk, R_T slices, cumulative
-slices 1..j for the per-slice epoch budget each round.
+slices 1..j for the per-slice epoch budget each round. One loop,
+``replay_member``, runs the rounds from any j on: from 1 for initial
+training and verification (which keeps no checkpoint), from the reverted
+round for unlearning.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 from . import model
-from .checkpoints import CheckpointKey, CheckpointStore, record_state, state_record
+from .checkpoints import (CheckpointKey, CheckpointStore, record_state,
+                          revert_key, state_record)
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan, make_partition
 from .model import (SEED_TEACHER, SEED_TEACHER_PLAN, ModelArch, ModelState,
@@ -50,9 +54,6 @@ class TeacherEnsemble:
     def member_count(self) -> int:
         return len(self.members)
 
-    def member_hyper(self, m: int) -> TrainHyper:
-        return model.stream_hyper(self.hyper, SEED_TEACHER, m)
-
 
 def _gather_round(plan: PartitionPlan, dataset: Dataset, m: int, j: int):
     """Training arrays (x, hard) for round j of member m: slices 1..j, a
@@ -61,19 +62,27 @@ def _gather_round(plan: PartitionPlan, dataset: Dataset, m: int, j: int):
     return dataset.features[rows], dataset.labels[rows]
 
 
-def _teacher_round(state: ModelState, m: int, j: int, plan: PartitionPlan,
-                   dataset: Dataset, epochs: int, member_hyper: TrainHyper,
-                   store: CheckpointStore, ledger: CostLedger,
-                   phase: str):
-    """One slice round: train on cumulative slices 1..j, checkpoint, account.
-    Returns (state, steps)."""
-    x, hard = _gather_round(plan, dataset, m, j)
-    state = model.train(state, x, one_hot(hard, dataset.num_classes), hard,
-                        epochs, member_hyper)
-    steps = len(x) * epochs
-    ledger.add(phase, "teacher", m, steps)
-    store.save(CheckpointKey("teacher", m, 1, j), state_record(
-        CheckpointKey("teacher", m, 1, j), state))
+def replay_member(state: ModelState, m: int, j: int, plan: PartitionPlan,
+                  dataset: Dataset, budget: TrainBudget, hyper: TrainHyper,
+                  store: CheckpointStore | None, ledger: CostLedger,
+                  phase: str):
+    """Run member m's slice rounds j..R_T from state, the state before round
+    j: train on cumulative slices 1..q, account the steps and, unless store
+    is None, checkpoint after each round q. Returns (state, steps)."""
+    r_t = plan.slices_in_chunk(m, 1)
+    epochs = budget.epochs_for(r_t)
+    member_hyper = model.stream_hyper(hyper, SEED_TEACHER, m)
+    steps = 0
+    for q in range(j, r_t + 1):
+        x, hard = _gather_round(plan, dataset, m, q)
+        state = model.train(state, x, one_hot(hard, dataset.num_classes), hard,
+                            epochs, member_hyper)
+        n = len(x) * epochs
+        ledger.add(phase, "teacher", m, n)
+        steps += n
+        if store is not None:
+            key = CheckpointKey("teacher", m, 1, q)
+            store.save(key, state_record(key, state))
     return state, steps
 
 
@@ -81,17 +90,13 @@ def train_teacher_member(m: int, plan: PartitionPlan, dataset: Dataset,
                          budget: TrainBudget, arch: ModelArch, hyper: TrainHyper,
                          store: CheckpointStore, ledger: CostLedger,
                          seed: int) -> ModelState:
-    """Train member m from scratch over its shard's cumulative slices."""
-    r_t = plan.slices_in_chunk(m, 1)
-    epochs = budget.epochs_for(r_t)
+    """Train member m from scratch: checkpoint its initial state, then
+    replay every round."""
     state = model.init_model(arch, mix_seed(seed, SEED_TEACHER, m))
-    store.save(CheckpointKey("teacher", m, 0, 0), state_record(
-        CheckpointKey("teacher", m, 0, 0), state))
-    member_hyper = model.stream_hyper(hyper, SEED_TEACHER, m)
-    for j in range(1, r_t + 1):
-        state, _ = _teacher_round(state, m, j, plan, dataset, epochs,
-                                  member_hyper, store, ledger, "initial_train")
-    return state
+    key = CheckpointKey("teacher", m, 0, 0)
+    store.save(key, state_record(key, state))
+    return replay_member(state, m, 1, plan, dataset, budget, hyper, store,
+                         ledger, "initial_train")[0]
 
 
 def train_teacher_ensemble(dataset: Dataset, members: int, slices_per_member: int,
@@ -120,18 +125,9 @@ def teacher_unlearn(ensemble: TeacherEnsemble, point_id, store: CheckpointStore,
     """
     m, _, j = ensemble.plan.locate(point_id)
     ensemble.plan.remove(point_id)
-    r_t = ensemble.plan.slices_in_chunk(m, 1)
-    revert_key = CheckpointKey("teacher", m, 0, 0) if j == 1 \
-        else CheckpointKey("teacher", m, 1, j - 1)
-    record = store.load(revert_key)
-    state = record_state(record)
-    epochs = ensemble.budget.epochs_for(r_t)
-    member_hyper = ensemble.member_hyper(m)
-    steps = 0
-    for q in range(j, r_t + 1):
-        state, n = _teacher_round(state, m, q, ensemble.plan, ensemble.dataset,
-                                  epochs, member_hyper, store, ledger,
-                                  "teacher_retrain")
-        steps += n
-    ensemble.members[m - 1] = state
-    return ensemble, m, j, steps, f"{revert_key}@{record.generation}"
+    key = revert_key("teacher", ensemble.plan, m, 1, j)
+    record = store.load(key)
+    ensemble.members[m - 1], steps = replay_member(
+        record_state(record), m, j, ensemble.plan, ensemble.dataset,
+        ensemble.budget, ensemble.hyper, store, ledger, "teacher_retrain")
+    return ensemble, m, j, steps, f"{key}@{record.generation}"

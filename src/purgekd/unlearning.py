@@ -11,24 +11,26 @@ partition and cached labels, regenerates soft labels only for the chunks
 whose labeling subensemble contains the updated member, and replays each
 affected constituent once from its planned start. Labels of earlier chunks
 are byte-unchanged because their subensembles never contained the updated
-member. ``verify_exactness`` takes the models it checks from the same plan.
+member. Each role replays through its one round loop from
+``checkpoints.revert_key``. ``verify_exactness`` takes the models it checks
+from the same plan and retrains each through that loop from a fresh initial
+state, writing no checkpoint.
 """
 
 from __future__ import annotations
 
 import csv
-import tempfile
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoints import CheckpointKey, CheckpointStore, record_state
+from .checkpoints import record_state, revert_key
 from .costmodel import CostLedger
 from .errors import ConfigError, NotFoundError, ParseError
-from .student import (generate_chunk_labels, run_student_round,
-                      train_student_constituent)
-from .teacher import teacher_unlearn, train_teacher_member
+from .model import SEED_STUDENT, SEED_TEACHER, init_model, mix_seed
+from .student import generate_chunk_labels, replay_constituent
+from .teacher import replay_member, teacher_unlearn
 
 REQUEST_KINDS = ("student_point", "teacher_point", "simultaneous")
 GENERATOR_KINDS = ("student_point", "teacher_point", "simultaneous",
@@ -74,39 +76,6 @@ class UnlearnReport:
             "relabel_inference": self.relabel_inference,
             "wall_time": self.wall_time,
         }
-
-
-def _revert_key(plan, k: int, start_l: int, start_j: int) -> CheckpointKey:
-    """Checkpoint immediately preceding round (start_l, start_j) of shard k."""
-    if start_j > 1:
-        return CheckpointKey("student", k, start_l, start_j - 1)
-    if start_l > 1:
-        return CheckpointKey("student", k, start_l - 1,
-                             plan.slices_in_chunk(k, start_l - 1))
-    return CheckpointKey("student", k, 0, 0)
-
-
-def _retrain_student_from(system, k: int, start_l: int, start_j: int) -> tuple[int, str]:
-    """Revert constituent k and replay all rounds from (start_l, start_j).
-
-    Returns (data-point steps, reverted checkpoint description)."""
-    net = system.student
-    key = _revert_key(net.plan, k, start_l, start_j)
-    record = system.store.load(key)
-    state = record_state(record)
-    epochs = net.budget.epochs_for(net.plan.total_slices_in_shard(k))
-    hyper_k = net.constituent_hyper(k)
-    steps = 0
-    for l in range(start_l, net.plan.chunks_in_shard(k) + 1):
-        first_j = start_j if l == start_l else 1
-        for j in range(first_j, net.plan.slices_in_chunk(k, l) + 1):
-            state, n = run_student_round(
-                state, k, l, j, net.plan, net.dataset, net.soft_labels, None,
-                epochs, hyper_k, None, system.store, system.ledger,
-                "student_retrain")
-            steps += n
-    net.constituents[k - 1] = state
-    return steps, f"{key}@{record.generation}"
 
 
 def plan_removal(system, request: UnlearnRequest):
@@ -182,9 +151,14 @@ def apply_request(system, request: UnlearnRequest):
             system.ledger.add("relabel_inference", "student", k, count)
         report.chunks_relabeled = tuple(relabeled)
     for k in sorted(starts):
-        steps, rev = _retrain_student_from(system, k, *starts[k])
+        key = revert_key("student", net.plan, k, *starts[k])
+        record = system.store.load(key)
+        net.constituents[k - 1], steps = replay_constituent(
+            record_state(record), k, *starts[k], net.plan, net.dataset,
+            net.soft_labels, net.budget, net.hyper, system.store,
+            system.ledger, "student_retrain")
         report.student_steps += steps
-        reverted.append(rev)
+        reverted.append(f"{key}@{record.generation}")
     report.reverted_to = tuple(reverted)
     report.wall_time = time.perf_counter() - t0
     return system, report
@@ -213,63 +187,49 @@ class VerificationVerdict:
 
 def verify_exactness(system_before, request: UnlearnRequest,
                      system_after) -> VerificationVerdict:
-    """Independently retrain every affected constituent from scratch on the
-    post-removal data and assert exact parameter equality with the updated
-    system; non-targeted constituents must be byte-identical to before."""
+    """Independently retrain every affected model from a fresh initial state
+    on the post-removal data, keeping no checkpoints, and assert exact
+    parameter equality with the updated system; non-targeted models must be
+    byte-identical to before."""
     member, starts = plan_removal(system_before, request)
     t_ms = () if member is None else (member,)
     s_ks = tuple(sorted(starts))
+    t, net = system_after.teacher, system_after.student
     failures = []
-    max_diff = 0.0
+    for name, touched, before, after in (
+            ("teacher", t_ms, system_before.teacher.members, t.members),
+            ("constituent", s_ks, system_before.student.constituents, net.constituents)):
+        failures += [f"non-targeted {name} {i} changed"
+                     for i, (a, b) in enumerate(zip(before, after), start=1)
+                     if i not in touched and not np.array_equal(a.params, b.params)]
+    diffs = [0.0]
 
-    for m in range(1, system_after.teacher.member_count + 1):
-        if m in t_ms:
-            continue
-        if not np.array_equal(system_before.teacher.members[m - 1].params,
-                              system_after.teacher.members[m - 1].params):
-            failures.append(f"non-targeted teacher {m} changed")
-    for k in range(1, system_after.student.constituent_count + 1):
-        if k in s_ks:
-            continue
-        if not np.array_equal(system_before.student.constituents[k - 1].params,
-                              system_after.student.constituents[k - 1].params):
-            failures.append(f"non-targeted constituent {k} changed")
+    def compare(name, scratch, updated):
+        diffs.append(float(np.max(np.abs(scratch.params - updated.params), initial=0.0)))
+        if diffs[-1] != 0.0:
+            failures.append(f"{name}: scratch retrain differs by {diffs[-1]}")
 
-    with tempfile.TemporaryDirectory(prefix="purgekd-verify-") as tmp:
-        scratch_store = CheckpointStore(tmp)
-        scratch_ledger = CostLedger()
-        for m in t_ms:
-            scratch = train_teacher_member(
-                m, system_after.teacher.plan, system_after.teacher.dataset,
-                system_after.teacher.budget, system_after.teacher.arch,
-                system_after.teacher.hyper, scratch_store, scratch_ledger,
-                system_after.teacher.seed)
-            diff = float(np.max(np.abs(
-                scratch.params - system_after.teacher.members[m - 1].params),
-                initial=0.0))
-            max_diff = max(max_diff, diff)
-            if diff != 0.0:
-                failures.append(f"teacher {m}: scratch retrain differs by {diff}")
-        net = system_after.student
-        for k in s_ks:
-            soft: dict = {}
-            scratch = train_student_constituent(
-                k, net.plan, net.dataset, net.mapping,
-                system_after.teacher.members, net.budget, net.arch, net.hyper,
-                scratch_store, scratch_ledger, net.mode, net.seed, soft)
-            diff = float(np.max(np.abs(
-                scratch.params - net.constituents[k - 1].params), initial=0.0))
-            max_diff = max(max_diff, diff)
-            if diff != 0.0:
-                failures.append(f"constituent {k}: scratch retrain differs by {diff}")
-            for l in range(1, net.plan.chunks_in_shard(k) + 1):
-                cached = net.soft_labels[(k, l)]
-                if (not np.array_equal(soft[(k, l)].ids, cached.ids)
-                        or not np.array_equal(soft[(k, l)].probs, cached.probs)):
-                    failures.append(f"constituent {k}: cached labels of chunk {l} "
-                                    "do not match the current teachers")
-
-    return VerificationVerdict(not failures, max_diff, t_ms, s_ks, tuple(failures))
+    for m in t_ms:
+        compare(f"teacher {m}", replay_member(
+            init_model(t.arch, mix_seed(t.seed, SEED_TEACHER, m)), m, 1, t.plan,
+            t.dataset, t.budget, t.hyper, None, CostLedger(), "initial_train")[0],
+            t.members[m - 1])
+    for k in s_ks:
+        soft = {(k, l): generate_chunk_labels(net.mode, net.mapping, t.members,
+                                              net.plan, net.dataset, k, l,
+                                              net.hyper.temperature)
+                for l in range(1, net.plan.chunks_in_shard(k) + 1)}
+        compare(f"constituent {k}", replay_constituent(
+            init_model(net.arch, mix_seed(net.seed, SEED_STUDENT, k)), k, 1, 1,
+            net.plan, net.dataset, soft, net.budget, net.hyper, None,
+            CostLedger(), "initial_train")[0], net.constituents[k - 1])
+        for (_, l), chunk in soft.items():
+            cached = net.soft_labels[(k, l)]
+            if (not np.array_equal(chunk.ids, cached.ids)
+                    or not np.array_equal(chunk.probs, cached.probs)):
+                failures.append(f"constituent {k}: cached labels of chunk {l} "
+                                "do not match the current teachers")
+    return VerificationVerdict(not failures, max(diffs), t_ms, s_ks, tuple(failures))
 
 
 # ----------------------------------------------------------------------------

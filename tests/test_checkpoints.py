@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from purgekd import (CheckpointKey, CheckpointRecord, CheckpointStore,
-                     ModelArch, NotFoundError, StorageError, init_model)
-from purgekd.checkpoints import decode_record, encode_record, state_record
+                     ModelArch, NotFoundError, StorageError, init_model,
+                     make_partition)
+from purgekd.checkpoints import (decode_record, encode_record, revert_key,
+                                 state_record)
 
 
 FRAME_HEAD = 8  # payload length and CRC-32 before every record
@@ -42,6 +44,34 @@ class TestKey:
             CheckpointKey("teacher", 0, 1, 1)
         with pytest.raises(ValueError):
             CheckpointKey("teacher", 1, 0, 1)  # l=0 only with j=0
+
+
+class TestRevertKey:
+    def test_teacher(self, small_dataset):
+        plan = make_partition(small_dataset, 4, [1] * 4, [[3]] * 4, seed=1)
+        assert revert_key("teacher", plan, 2, 1, 1) == CheckpointKey("teacher", 2, 0, 0)
+        assert revert_key("teacher", plan, 2, 1, 3) == CheckpointKey("teacher", 2, 1, 2)
+
+    def test_student_steps_back_across_uneven_chunks(self, small_dataset):
+        """Mapping sizes [3, 1]: constituent 1 has chunks of 2, 1 and 3
+        slices, constituent 2 one chunk of 4; the first round of a chunk
+        reverts to the last slice of the chunk before it."""
+        plan = make_partition(small_dataset, 2, [3, 1], [[2, 1, 3], [4]], seed=1)
+        expected = {(1, 1, 1): (0, 0), (1, 1, 2): (1, 1), (1, 2, 1): (1, 2),
+                    (1, 3, 1): (2, 1), (1, 3, 3): (3, 2), (2, 1, 1): (0, 0),
+                    (2, 1, 4): (1, 3)}
+        for (k, l, j), (prev_l, prev_j) in expected.items():
+            assert revert_key("student", plan, k, l, j) == \
+                CheckpointKey("student", k, prev_l, prev_j)
+
+    def test_every_round_reverts_to_the_round_before(self, small_dataset):
+        plan = make_partition(small_dataset, 2, [3, 1], [[2, 1, 3], [4]], seed=1)
+        for k in (1, 2):
+            rounds = [(0, 0)] + [(l, j) for l in range(1, plan.chunks_in_shard(k) + 1)
+                                 for j in range(1, plan.slices_in_chunk(k, l) + 1)]
+            for before, (l, j) in zip(rounds, rounds[1:]):
+                assert revert_key("student", plan, k, l, j) == \
+                    CheckpointKey("student", k, *before)
 
 
 class TestBinaryRoundTrip:

@@ -4,6 +4,7 @@ byte-stable outputs."""
 import json
 import shutil
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +81,18 @@ class TestTrain:
                      "--set", "student.mode=magic"]) == 2
         err = capsys.readouterr().err
         assert "config error" in err
+
+    @pytest.mark.parametrize("override", [
+        'mapping_sizes=[1,"a"]', "mapping_sizes=3", "mapping_sizes=[3,true]",
+        "student.slices_per_chunk=[1]", 'student.slices_per_chunk=[[1,"x"],[1,1]]',
+        "student.slices_per_chunk=0", "student.slices_per_chunk=true",
+        "teacher.slices=0"])
+    def test_malformed_counts_exit_2(self, config_path, tmp_path, capsys, override):
+        assert main(["train", "--config", str(config_path),
+                     "--out", str(tmp_path / "run"), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + override.partition("=")[0])
+        assert len(err.splitlines()) == 1
 
     def test_csv_dataset_errors_exit_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -178,6 +191,24 @@ class TestUnlearn:
         err = capsys.readouterr().err
         assert err.startswith("storage error:")
         assert str(out / "checkpoints") in err and "does not exist" in err
+        assert not (out / "checkpoints").exists()
+
+    def test_keeps_the_manifest_checkpoint_dir(self, config_path, tmp_path,
+                                               monkeypatch):
+        """A run whose store is not called "checkpoints" survives two
+        successive invocations, with relative paths."""
+        out = _train(config_path, tmp_path / "run")
+        (out / "checkpoints").rename(out / "ckpt")
+        manifest = json.loads((out / "system.json").read_text())
+        manifest["checkpoint_dir"] = "ckpt"
+        (out / "system.json").write_text(json.dumps(manifest))
+        header, *rows = (out / "requests.csv").read_text().splitlines()
+        monkeypatch.chdir(tmp_path)
+        for part in (rows[:3], rows[3:]):
+            Path("part.csv").write_text("\n".join([header, *part]) + "\n")
+            assert main(["unlearn", "--system", "run", "--requests", "part.csv",
+                         "--verify"]) == 0
+            assert json.loads((out / "system.json").read_text())["checkpoint_dir"] == "ckpt"
         assert not (out / "checkpoints").exists()
 
     def test_changed_dataset_byte_exits_3(self, config_path, tmp_path, capsys):
@@ -285,3 +316,25 @@ class TestAnalyze:
         assert main(["analyze", "--out", str(out)]) == 0
         assert len((out / "accuracy_vs_n.csv").read_text().splitlines()) == 1
         assert len((out / "speedup_vs_n.csv").read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("name, text", [
+        ("unlearn_reports.jsonl", '{"a":\n'),
+        ("ledger.csv", "phase,role,constituent,steps\ninitial_train,student,1,x\n"),
+        ("simulate.csv", "M,N,c,r,e_prime,requests,mean_steps,predicted,"
+                         "measured_ratio,deviation\nx,4,2,1,20,10,1.0,1.0,1.0,0.0\n"),
+    ], ids=["reports", "ledger", "simulate"])
+    def test_malformed_inputs_exit_3(self, tmp_path, capsys, name, text):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "unlearn_reports.jsonl").write_text('{"student_steps": 4}\n')
+        (run / "ledger.csv").write_text(
+            "phase,role,constituent,steps\ninitial_train,student,1,40\n")
+        (run / "system.json").write_text(json.dumps(
+            {"teacher": {"members": 4}, "student": {"constituents": 2}}))
+        assert main(["analyze", str(run), "--out", str(tmp_path / "a")]) == 0
+        (run / name).write_text(text)
+        capsys.readouterr()
+        assert main(["analyze", str(run), "--out", str(tmp_path / "b")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and name in err
+        assert len(err.splitlines()) == 1

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package is used, and
+every private function, class and method is referenced somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -26,6 +27,28 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def unreferenced_private(sources) -> list[str]:
+    """Private (single-underscore) module-level functions and classes, and
+    private methods of module-level classes, whose names no source in
+    sources references."""
+    defined, used = {}, set()
+    for source in sources:
+        tree = ast.parse(source)
+        scopes = [("", tree.body)] + [(f"{node.name}.", node.body) for node in tree.body
+                                      if isinstance(node, ast.ClassDef)]
+        for prefix, body in scopes:
+            for node in body:
+                if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and node.name.startswith("_") and not node.name.startswith("__")):
+                    defined[prefix + node.name] = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(q for q, name in defined.items() if name not in used)
+
+
 def test_package_has_modules():
     assert len(MODULES) >= 5
 
@@ -38,3 +61,17 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     src = "import numpy as np\nfrom .data import Dataset, make_partition\nx = Dataset\n"
     assert unused_imports(src) == ["line 1: np", "line 2: make_partition"]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert unreferenced_private(sources) == []
+
+
+def test_detects_unreferenced_private():
+    module = ("def _used():\n    pass\n\n\ndef _orphan():\n    pass\n\n\n"
+              "class _Gone:\n    def _helper(self):\n        pass\n\n"
+              "    def _called(self):\n        pass\n\n    def __init__(self):\n"
+              "        pass\n")
+    caller = "from .a import _used\n_used()\nobj._called()\n"
+    assert unreferenced_private([module, caller]) == ["_Gone", "_Gone._helper", "_orphan"]

@@ -1,6 +1,8 @@
 """Unlearning engine: request streams, all three request kinds, and the
 scratch-retrain verification oracle."""
 
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -427,3 +429,56 @@ class TestVerificationOracle:
             system.student.soft_labels[(k, l)].without(victim)
         verdict = verify_exactness(before, request, system)
         assert not verdict.passed
+
+    def test_keeps_no_checkpoint(self, system_factory, monkeypatch):
+        """Verification retrains into no store: it saves no checkpoint and
+        makes no temporary directory."""
+        system = system_factory()
+        victim = system.teacher.plan.slice_ids(1, 1, 1)[0]
+        before = snapshot(system)
+        request = UnlearnRequest(1, "teacher_point", victim)
+        apply_request(system, request)
+        saves, dirs = [], []
+        real_save, real_mkdtemp = CheckpointStore.save, tempfile.mkdtemp
+
+        def save(store, key, record):
+            saves.append(key)
+            return real_save(store, key, record)
+
+        def mkdtemp(*args, **kwargs):
+            dirs.append(args)
+            return real_mkdtemp(*args, **kwargs)
+
+        monkeypatch.setattr(CheckpointStore, "save", save)
+        monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+        log_size = system.store.log.stat().st_size
+        verdict = verify_exactness(before, request, system)
+        assert verdict.passed
+        assert verdict.checked_teacher_members == (1,)
+        assert verdict.checked_student_constituents == (1,)
+        assert saves == [] and dirs == []
+        assert system.store.log.stat().st_size == log_size
+
+
+class TestRevertAcrossChunks:
+    def test_first_round_of_a_chunk_replays_from_the_chunk_before(
+            self, small_dataset, tmp_path):
+        """Mapping sizes [3, 1] with uneven nested slice counts: a point in
+        the first slice of chunk 3 reverts constituent 1 to the last slice
+        of chunk 2, and the replay equals a scratch retrain."""
+        arch = ModelArch("softmax_linear", 5, 3)
+        system = train_system(
+            student_dataset=small_dataset, teacher_dataset=None,
+            teacher_members=4, teacher_slices=2, student_constituents=2,
+            slices_per_chunk=[[2, 1, 3], [4]], mode="purge", e_prime=8,
+            teacher_arch=arch, student_arch=arch,
+            teacher_hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=1),
+            student_hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=2),
+            store=CheckpointStore(tmp_path / "uneven"), seed=11,
+            mapping_sizes=[3, 1])
+        before = snapshot(system)
+        request = UnlearnRequest(1, "student_point",
+                                 system.student.plan.slice_ids(1, 3, 1)[0])
+        _, report = apply_request(system, request)
+        assert report.reverted_to == ("student:1:2:1@1",)
+        assert verify_exactness(before, request, system).passed
