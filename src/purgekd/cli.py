@@ -19,9 +19,9 @@ from pathlib import Path
 from .costmodel import (read_ledger_csv, simulate_teacher_requests, speedup_vs_n,
                         write_ledger_csv)
 from .data import SyntheticSpec, gen_synthetic, load_csv
-from .errors import ConfigError, DataError, NotFoundError, StorageError
+from .errors import ConfigError, DataError, NotFoundError, PartitionError, StorageError
 from .model import ModelArch, TrainHyper, mix_seed
-from .student import MODES, evaluate_accuracy
+from .student import MODES, build_mapping, evaluate_accuracy
 from .system import load_system, save_manifest, snapshot, train_system
 from .unlearning import (apply_request, generate_requests, parse_request_stream,
                          verify_exactness, write_request_stream)
@@ -183,6 +183,17 @@ def cmd_train(args) -> int:
     mapping_sizes = cfg.get("mapping_sizes")
     if mapping_sizes is not None and not _counts(mapping_sizes):
         raise ConfigError("mapping_sizes: expected a list of integers >= 1")
+    if isinstance(slices_cfg, list):
+        try:
+            mapping = build_mapping(members, constituents, mapping_sizes)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        chunks = [len(ms) for ms in mapping.assignment]
+        if [len(row) for row in slices_cfg] != chunks:
+            raise ConfigError(
+                f"student.slices_per_chunk: expected one list per constituent with "
+                f"one count per chunk, of lengths {chunks}; got lengths "
+                f"{[len(row) for row in slices_cfg]}")
 
     from .checkpoints import CheckpointStore
     store = CheckpointStore(out / "checkpoints")
@@ -287,6 +298,11 @@ def cmd_simulate(args) -> int:
     grid_e = _field(cfg, "grid.e_prime", list)
     n_requests = _field(cfg, "grid.requests", int, 100)
     dataset_size = _field(cfg, "dataset_size", int)
+    for path, value in [("grid.M", grid_m), ("grid.N", grid_n), ("grid.r", grid_r),
+                        ("grid.e_prime", grid_e), ("grid.requests", [n_requests]),
+                        ("dataset_size", [dataset_size])]:
+        if not _counts(value):
+            raise ConfigError(f"{path}: expected integers >= 1, got {value}")
     seed = args.seed if args.seed is not None else _field(cfg, "seed", int, 0)
 
     rows = []
@@ -294,9 +310,14 @@ def cmd_simulate(args) -> int:
         for n in grid_n:
             for r in grid_r:
                 for e_prime in grid_e:
-                    run = simulate_teacher_requests(
-                        m, n, r, e_prime, dataset_size, n_requests,
-                        mix_seed(seed, m, n, r, e_prime))
+                    try:
+                        run = simulate_teacher_requests(
+                            m, n, r, e_prime, dataset_size, n_requests,
+                            mix_seed(seed, m, n, r, e_prime))
+                    except (ValueError, PartitionError) as exc:
+                        raise ConfigError(
+                            f"grid point M={m} N={n} r={r} e_prime={e_prime} "
+                            f"(dataset_size {dataset_size}): {exc}") from None
                     measured = run.measured_ratio
                     if m % n == 0:
                         predicted = speedup_vs_n(n, m // n, r)

@@ -8,8 +8,17 @@ Inference is row-independent by construction: the logits come from
 ``np.einsum(..., optimize=False)``, which never calls BLAS, so each output row
 depends only on its own input row and not on how many rows share the batch.
 (A BLAS matmul picks its blocking by shape, so dropping one row could change
-the bits of the others.) Training keeps BLAS: replay always sees the batch
-shapes of the original run.
+the bits of the others.)
+
+Training is bias-folded, class-major and BLAS: the flat parameter layout
+stores each layer's bias right after its weights, so each layer is one
+(inputs + 1, outputs) matrix view of the parameters. ``train`` lays the
+permuted features out once per call as columns over a ones row, and every
+SGD step is one BLAS product per layer per direction, activations kept as
+(classes, batch) so the softmax reduces along axis 0, with the update written
+into those views in place. Replay always sees the batch shapes of the
+original run, so it reproduces the original bits on the same BLAS kernel;
+``kernel_fingerprint`` lets a saved run detect a different one.
 
 Aggregation is correctly rounded and vectorized: every element of an
 ensemble mean is ``fsum(member values) / M``, computed with error-free
@@ -21,6 +30,7 @@ the error bound, non-finite values) fall back to a per-element
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
@@ -125,19 +135,17 @@ def init_model(arch: ModelArch, seed: int) -> ModelState:
     return ModelState(arch, params, rng_cursor=0)
 
 
-def _unpack(arch: ModelArch, params: np.ndarray):
+def _layers(arch: ModelArch, params: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of the flat parameters, one bias-folded (inputs + 1, outputs)
+    matrix per layer: the layout stores each layer's bias right after its
+    weights, so the bias is the matrix's last row. Writing to a view writes
+    to params."""
     d, k = arch.feature_dim, arch.num_classes
     if arch.kind == "softmax_linear":
-        return params[:d * k].reshape(d, k), params[d * k:]
-    h = arch.hidden_units
-    o = 0
-    w1 = params[o:o + d * h].reshape(d, h)
-    o += d * h
-    b1 = params[o:o + h]
-    o += h
-    w2 = params[o:o + h * k].reshape(h, k)
-    o += h * k
-    return w1, b1, w2, params[o:]
+        return (params.reshape(d + 1, k),)
+    cut = (d + 1) * arch.hidden_units
+    return (params[:cut].reshape(d + 1, arch.hidden_units),
+            params[cut:].reshape(arch.hidden_units + 1, k))
 
 
 def _rowwise(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -146,17 +154,19 @@ def _rowwise(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _logits(arch: ModelArch, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if arch.kind == "softmax_linear":
-        w, b = _unpack(arch, params)
-        return _rowwise(x, w) + b
-    w1, b1, w2, b2 = _unpack(arch, params)
-    return _rowwise(np.tanh(_rowwise(x, w1) + b1), w2) + b2
+    first, *rest = _layers(arch, params)
+    out = _rowwise(x, first[:-1]) + first[-1]
+    for w in rest:
+        out = _rowwise(np.tanh(out), w[:-1]) + w[-1]
+    return out
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    """Max-shifted softmax of z along axis, computed in place."""
+    z -= np.maximum.reduce(z, axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=axis, keepdims=True)
+    return z
 
 
 def predict_batch(state: ModelState, features, temperature: float = 1.0) -> np.ndarray:
@@ -164,7 +174,7 @@ def predict_batch(state: ModelState, features, temperature: float = 1.0) -> np.n
     if x.ndim != 2 or x.shape[1] != state.arch.feature_dim:
         raise DimensionError(
             f"expected (n, {state.arch.feature_dim}) features, got shape {x.shape}")
-    return _softmax(_logits(state.arch, state.params, x) / temperature)
+    return _softmax(_logits(state.arch, state.params, x) / temperature, axis=1)
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
@@ -215,20 +225,59 @@ def mean_distill_loss(state: ModelState, features, soft_labels, hard_labels,
     return float(-(targets * np.log(np.maximum(p, LOSS_CLAMP))).sum(axis=1).mean())
 
 
-def _loss_gradient(arch: ModelArch, params: np.ndarray, x: np.ndarray,
-                   targets: np.ndarray) -> np.ndarray:
-    """Mean-over-batch gradient of the distillation loss wrt the flat params."""
-    n = len(x)
-    if arch.kind == "softmax_linear":
-        w, b = _unpack(arch, params)
-        g = (_softmax(x @ w + b) - targets) / n
-        return np.concatenate([(x.T @ g).ravel(), g.sum(axis=0)])
-    w1, b1, w2, b2 = _unpack(arch, params)
-    h = np.tanh(x @ w1 + b1)
-    g = (_softmax(h @ w2 + b2) - targets) / n
-    gh = (g @ w2.T) * (1.0 - h * h)
-    return np.concatenate([(x.T @ gh).ravel(), gh.sum(axis=0),
-                           (h.T @ g).ravel(), g.sum(axis=0)])
+def _gradient(layers, xb: np.ndarray, tb: np.ndarray, hb: np.ndarray | None):
+    """Batch-summed gradient of the distillation loss, one array per layer
+    in the bias-folded layout of ``layers``.
+
+    Class-major: xb is (d + 1, b), the batch's features as columns over a
+    ones row; tb is (K, b), their targets. hb is (h + 1, b) scratch for the
+    hidden activations whose last row is ones (None for softmax_linear).
+    Each layer's gradient is one product; dividing by b is left to the
+    caller's step size.
+    """
+    if hb is None:
+        (w,) = layers
+        g = _softmax(w.T @ xb, axis=0)
+        g -= tb
+        return (xb @ g.T,)
+    w1, w2 = layers
+    h = hb[:-1]
+    np.matmul(w1.T, xb, out=h)
+    np.tanh(h, out=h)
+    g = _softmax(w2.T @ hb, axis=0)
+    g -= tb
+    gh = w2[:-1] @ g
+    gh *= 1.0 - h * h
+    return xb @ gh.T, hb @ g.T
+
+
+def _sgd(arch: ModelArch, params: np.ndarray, x: np.ndarray, soft: np.ndarray,
+         hard: np.ndarray, epochs: int, hyper: TrainHyper, cursor: int) -> None:
+    """train's kernel: epochs of SGD on validated arrays, updating params in
+    place through its bias-folded layer views."""
+    n, d = x.shape
+    perm = np.random.default_rng(mix_seed(hyper.seed, cursor)).permutation(n)
+    xt = np.ones((d + 1, n))
+    xt[:d] = x[perm].T
+    tt = np.ascontiguousarray(soft[perm].T)
+    a = hyper.hard_label_weight
+    if a:
+        tt *= 1.0 - a
+        tt[hard[perm], np.arange(n)] += a
+    layers = _layers(arch, params)
+    scratch = {}
+    batches = []
+    for s0 in range(0, n, hyper.batch_size):
+        xb = xt[:, s0:s0 + hyper.batch_size]
+        b = xb.shape[1]
+        if arch.kind == "one_hidden_layer" and b not in scratch:
+            scratch[b] = np.ones((arch.hidden_units + 1, b))
+        batches.append((xb, tt[:, s0:s0 + b], scratch.get(b), hyper.learning_rate / b))
+    for _ in range(epochs):
+        for xb, tb, hb, step in batches:
+            for w, g in zip(layers, _gradient(layers, xb, tb, hb)):
+                g *= step
+                w -= g
 
 
 def train(state: ModelState, features, soft_labels, hard_labels, epochs: int,
@@ -254,19 +303,38 @@ def train(state: ModelState, features, soft_labels, hard_labels, epochs: int,
         raise DimensionError(f"features must be (n, {state.arch.feature_dim})")
     if soft.shape != (n, state.arch.num_classes) or hard.shape != (n,):
         raise DimensionError("label arrays do not match the example count")
-
-    a = hyper.hard_label_weight
-    targets = (1.0 - a) * soft + a * one_hot(hard, state.arch.num_classes)
-    perm = np.random.default_rng(mix_seed(hyper.seed, state.rng_cursor)).permutation(n)
-    xp, tp = x[perm], targets[perm]
-
     params = state.params.copy()
-    for _ in range(epochs):
-        for s0 in range(0, n, hyper.batch_size):
-            xb = xp[s0:s0 + hyper.batch_size]
-            tb = tp[s0:s0 + hyper.batch_size]
-            params -= hyper.learning_rate * _loss_gradient(state.arch, params, xb, tb)
+    _sgd(state.arch, params, x, soft, hard, epochs, hyper, state.rng_cursor)
     return ModelState(state.arch, params, state.rng_cursor + 1)
+
+
+@functools.lru_cache(maxsize=64)
+def kernel_fingerprint(arch: ModelArch, batch_size: int) -> str:
+    """Digest of the bits this process's numeric kernels produce for arch
+    and batch_size: the parameters ``train`` reaches on a fixed seeded probe
+    (2 epochs over 2 * batch_size + 1 rows, so full batches and a one-row
+    batch both run, hard-label weight 0.5) and ``predict_batch``'s outputs
+    on those rows.
+
+    Replay is exact only when it runs the kernels the checkpoints were made
+    with; a different BLAS kernel, numpy build or training code changes this
+    digest. A change of BLAS thread count can escape it: at batch 1024,
+    training on two threads and replaying on one changed the bits while the
+    digest stayed the same. Computed once per process per argument pair,
+    through the kernels themselves rather than the public functions, so it
+    adds no training or inference call.
+    """
+    rng = np.random.default_rng(mix_seed(arch.feature_dim, arch.num_classes,
+                                         arch.hidden_units or 0, batch_size))
+    n = 2 * batch_size + 1
+    x = rng.normal(size=(n, arch.feature_dim))
+    soft = rng.dirichlet(np.ones(arch.num_classes), size=n)
+    hard = rng.integers(0, arch.num_classes, size=n)
+    params = init_model(arch, mix_seed(n)).params
+    _sgd(arch, params, x, soft, hard, 2,
+         TrainHyper(learning_rate=0.5, batch_size=batch_size, hard_label_weight=0.5), 0)
+    probs = _softmax(_logits(arch, params, x), axis=1)
+    return hashlib.blake2b(params.tobytes() + probs.tobytes(), digest_size=16).hexdigest()
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray):

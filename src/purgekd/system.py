@@ -9,6 +9,11 @@ arrays: ids, labels, features), named by its blake2b digest and written only
 when absent, so a removal never rewrites it. Soft labels are derived on load
 from the loaded teachers; label inference is row-independent, so they equal
 the cached ones bit for bit. Reruns write byte-identical files.
+
+Each role also records ``model.kernel_fingerprint`` of its architecture and
+batch size. Replay reproduces a checkpoint only on the numeric kernels that
+made it, so a load on a machine, numpy build or training code whose kernels
+compute other bits is refused rather than left to replay inexactly.
 """
 
 from __future__ import annotations
@@ -26,13 +31,13 @@ from .checkpoints import CheckpointKey, CheckpointStore, record_state
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan
 from .errors import ConfigError, ParseError, StorageError
-from .model import ModelArch, TrainHyper
+from .model import ModelArch, TrainHyper, kernel_fingerprint
 from .student import (ConstituentMapping, StudentNetwork, build_mapping,
                       generate_chunk_labels, train_student_network)
 from .teacher import TeacherEnsemble, TrainBudget, train_teacher_ensemble
 
 MANIFEST_KIND = "system_manifest"
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 
 @dataclass
@@ -151,6 +156,7 @@ def save_manifest(system: TrainedSystem, path, checkpoint_dir: str) -> None:
             "members": t.member_count,
             "arch": asdict(t.arch),
             "hyper": asdict(t.hyper),
+            "kernel": kernel_fingerprint(t.arch, t.hyper.batch_size),
             "plan": {"seed": t.plan.seed, "slices": t.plan.raw_slices()},
             "dataset": student_dataset if system.shared_dataset
             else _save_dataset(t.dataset, path.parent),
@@ -160,6 +166,7 @@ def save_manifest(system: TrainedSystem, path, checkpoint_dir: str) -> None:
             "mode": s.mode,
             "arch": asdict(s.arch),
             "hyper": asdict(s.hyper),
+            "kernel": kernel_fingerprint(s.arch, s.hyper.batch_size),
             "mapping": [list(ms) for ms in s.mapping.assignment],
             "plan": {"seed": s.plan.seed, "slices": s.plan.raw_slices()},
             "dataset": student_dataset,
@@ -173,7 +180,8 @@ def load_system(path) -> TrainedSystem:
     """Reconstruct a trained system from a manifest: datasets from their
     digest-checked files, final model states from the latest checkpoint
     generations in the referenced store, soft labels derived from the
-    loaded teachers."""
+    loaded teachers. A role whose kernel fingerprint differs from this
+    process's is refused with ParseError."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -186,16 +194,25 @@ def load_system(path) -> TrainedSystem:
                          f"read (this program reads version {MANIFEST_VERSION}); "
                          f"retrain to rebuild the run")
     try:
-        return _system_from(doc, path.parent)
+        return _system_from(doc, path)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"{path}: malformed manifest "
                          f"({type(exc).__name__}: {exc})") from None
 
 
-def _system_from(doc: dict, root: Path) -> TrainedSystem:
+def _system_from(doc: dict, path: Path) -> TrainedSystem:
+    root = path.parent
     store_root = root / doc["checkpoint_dir"]
     if not store_root.is_dir():
         raise StorageError(f"checkpoint directory {store_root} does not exist")
+    for role in ("teacher", "student"):
+        rdoc = doc[role]
+        here = kernel_fingerprint(ModelArch(**rdoc["arch"]), rdoc["hyper"]["batch_size"])
+        if rdoc["kernel"] != here:
+            raise ParseError(f"{path}: the {role} checkpoints were made by numeric "
+                             f"kernels that compute other bits than this process's "
+                             f"(fingerprint {rdoc['kernel']}, here {here}), so replay "
+                             f"would not be exact; retrain to rebuild the run")
     budget = TrainBudget(doc["budget"]["e_prime"])
     seed = doc["seed"]
     shared = doc["shared_dataset"]

@@ -23,7 +23,7 @@ from purgekd import (CheckpointStore, CostLedger, Dataset, ModelArch,
 from purgekd.checkpoints import (CheckpointKey, decode_record, encode_record,
                                  state_record)
 from purgekd.costmodel import avg_retrain_steps, brute_force_avg_steps
-from purgekd.model import _loss_gradient
+from purgekd.model import _gradient, _layers
 from purgekd.student import train_student_network as _tsn  # noqa: F401
 
 
@@ -375,7 +375,10 @@ def test_criterion_7_numerical_substrate():
             n = int(rng.integers(1, 7))
             x = rng.normal(size=(n, d))
             targets = rng.dirichlet(np.ones(classes), size=n)
-            analytic = _loss_gradient(arch, params, x, targets)
+            hidden_scratch = np.ones((hidden + 1, n)) if hidden else None
+            grads = _gradient(_layers(arch, params), np.vstack([x.T, np.ones(n)]),
+                              targets.T, hidden_scratch)
+            analytic = np.concatenate([g.ravel() for g in grads]) / n
             numeric = _finite_difference_gradient(arch, params, x, targets)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-4,
                                        atol=1e-7, err_msg=f"{kind} #{case}")

@@ -94,6 +94,23 @@ class TestTrain:
         assert err.startswith("config error: " + override.partition("=")[0])
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("overrides", [
+        ["student.slices_per_chunk=[[1,1]]"],
+        ["student.slices_per_chunk=[[1],[1,1]]"],
+        ["mapping_sizes=[3,1]", "student.slices_per_chunk=[[1,1],[1,1]]"],
+    ], ids=["one-row-for-two-constituents", "short-row", "rows-follow-mapping-sizes"])
+    def test_misshaped_slices_per_chunk_exit_2(self, config_path, tmp_path, capsys,
+                                               overrides):
+        """A nested slices_per_chunk must have the shape of the chunk
+        counts: one row per constituent, one entry per mapped teacher."""
+        args = ["train", "--config", str(config_path), "--out", str(tmp_path / "run")]
+        for override in overrides:
+            args += ["--set", override]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: student.slices_per_chunk")
+        assert len(err.splitlines()) == 1
+
     def test_csv_dataset_errors_exit_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("0,1,not_a_float\n")
@@ -285,6 +302,35 @@ class TestSimulate:
                      "--out", str(tmp_path / "y")]) == 0
         assert (tmp_path / "x/simulate.csv").read_bytes() == \
             (tmp_path / "y/simulate.csv").read_bytes()
+
+
+    @pytest.mark.parametrize("overrides, field", [
+        (['grid.M=[4,"x"]'], "grid.M"),
+        (["grid.N=[0]"], "grid.N"),
+        (["grid.r=[true]"], "grid.r"),
+        (["grid.requests=0"], "grid.requests"),
+        (["dataset_size=0"], "dataset_size"),
+        (["grid.M=[2]", "grid.N=[4]"], "grid point M=2 N=4"),
+        (["dataset_size=3", "grid.N=[4]"], "grid point M=8 N=4"),
+        (["grid.r=[400]"], "grid point M=8 N=4 r=400"),
+    ], ids=["non-integer", "zero-shards", "bool", "zero-requests",
+            "zero-points", "more-shards-than-teachers", "more-shards-than-points",
+            "more-slices-than-points"])
+    def test_malformed_grid_exit_2(self, tmp_path, capsys, overrides, field):
+        """Every grid entry, requests and dataset_size are integers >= 1, and
+        a grid point the simulator cannot partition is a config error naming
+        it."""
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({
+            "seed": 5, "dataset_size": 800,
+            "grid": {"M": [8], "N": [4], "r": [1], "e_prime": [20], "requests": 5}}))
+        args = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]
+        for override in overrides:
+            args += ["--set", override]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + field)
+        assert len(err.splitlines()) == 1
 
 
 class TestAnalyze:

@@ -1,10 +1,17 @@
 """Model substrate: init, prediction, losses, SGD training, aggregation.
 
 The gradient checks compare the analytic implementation against central
-finite differences — the two routes share no code.
+finite differences — the two routes share no code. The training checks
+compare train against a textbook row-major SGD loop kept here as the
+reference.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +20,7 @@ from purgekd import (DimensionError, ModelArch, SoftLabelChunk, TrainHyper,
                      aggregate_batch, distill_loss, init_model,
                      mean_distill_loss, mix_seed, one_hot, predict_batch,
                      subensemble_soft_labels, train)
-from purgekd.model import _loss_gradient
+from purgekd.model import _gradient, _layers
 
 
 def _random_arch(rng, kind):
@@ -40,6 +47,52 @@ def _fd_gradient(arch, params, x, targets, h=1e-6):
         dn[i] -= h
         grad[i] = (batch_loss(up) - batch_loss(dn)) / (2 * h)
     return grad
+
+
+def flat_gradient(arch, params, x, targets):
+    """Mean-over-batch gradient wrt the flat parameters, through the
+    training kernel's gradient function (class-major, bias-folded)."""
+    n = len(x)
+    xt = np.vstack([x.T, np.ones(n)])
+    hb = np.ones((arch.hidden_units + 1, n)) if arch.hidden_units else None
+    grads = _gradient(_layers(arch, params), xt, targets.T, hb)
+    return np.concatenate([g.ravel() for g in grads]) / n
+
+
+def reference_train(state, x, soft, hard, epochs, hyper):
+    """Textbook row-major SGD: separate weights and biases, the batch
+    gradient of the mean loss with (softmax - t) / n, and one permutation
+    seeded by (hyper.seed, cursor) reused every epoch."""
+    arch = state.arch
+    d, k, h = arch.feature_dim, arch.num_classes, arch.hidden_units
+    a = hyper.hard_label_weight
+    targets = (1.0 - a) * soft + a * one_hot(hard, k)
+    perm = np.random.default_rng(mix_seed(hyper.seed, state.rng_cursor)).permutation(len(x))
+    x, targets = x[perm], targets[perm]
+    p = state.params.copy()
+
+    def softmax(z):
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    for _ in range(epochs):
+        for s0 in range(0, len(x), hyper.batch_size):
+            xb, tb = x[s0:s0 + hyper.batch_size], targets[s0:s0 + hyper.batch_size]
+            n = len(xb)
+            if h is None:
+                w, b = p[:d * k].reshape(d, k), p[d * k:]
+                g = (softmax(xb @ w + b) - tb) / n
+                grad = np.concatenate([(xb.T @ g).ravel(), g.sum(axis=0)])
+            else:
+                w1, b1 = p[:d * h].reshape(d, h), p[d * h:d * h + h]
+                w2, b2 = p[d * h + h:-k].reshape(h, k), p[-k:]
+                hid = np.tanh(xb @ w1 + b1)
+                g = (softmax(hid @ w2 + b2) - tb) / n
+                gh = (g @ w2.T) * (1.0 - hid * hid)
+                grad = np.concatenate([(xb.T @ gh).ravel(), gh.sum(axis=0),
+                                       (hid.T @ g).ravel(), g.sum(axis=0)])
+            p -= hyper.learning_rate * grad
+    return p
 
 
 def predict_batch_from(arch, params, x):
@@ -210,14 +263,15 @@ class TestGradients:
 
     @pytest.mark.parametrize("kind", ["softmax_linear", "one_hidden_layer"])
     def test_matches_finite_differences(self, kind):
+        """50 random cases per architecture, the first 10 with one row."""
         rng = np.random.default_rng(17)
         for case in range(50):
             arch = _random_arch(rng, kind)
             params = rng.uniform(-0.5, 0.5, size=arch.param_count)
-            n = int(rng.integers(1, 7))
+            n = 1 if case < 10 else int(rng.integers(1, 7))
             x = rng.normal(size=(n, arch.feature_dim))
             targets = rng.dirichlet(np.ones(arch.num_classes), size=n)
-            analytic = _loss_gradient(arch, params, x, targets)
+            analytic = flat_gradient(arch, params, x, targets)
             numeric = _fd_gradient(arch, params, x, targets)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-4,
                                        atol=1e-7,
@@ -225,6 +279,42 @@ class TestGradients:
 
 
 class TestTraining:
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("batch_size", [1, 7, 20, 64])
+    @pytest.mark.parametrize("weight", [0.0, 0.3])
+    @pytest.mark.parametrize("kind", ["softmax_linear", "one_hidden_layer"])
+    def test_matches_row_major_reference(self, kind, weight, batch_size, epochs):
+        """The bias-folded, class-major kernel is the textbook SGD loop up
+        to rounding: a partial last batch (7 of 20 rows), one batch (20 and
+        64), one row per step, with and without the hard-label blend."""
+        rng = np.random.default_rng(batch_size * 10 + epochs)
+        arch = ModelArch(kind, 6, 4, 5 if kind == "one_hidden_layer" else None)
+        state = init_model(arch, seed=4)
+        state.rng_cursor = 3
+        x = rng.normal(size=(20, 6))
+        soft = rng.dirichlet(np.ones(4), size=20)
+        hard = rng.integers(0, 4, size=20)
+        hyper = TrainHyper(learning_rate=0.3, batch_size=batch_size,
+                           hard_label_weight=weight, seed=12)
+        got = train(state, x, soft, hard, epochs, hyper)
+        want = reference_train(state, x, soft, hard, epochs, hyper)
+        np.testing.assert_allclose(got.params, want, rtol=0, atol=1e-12)
+        assert not np.array_equal(got.params, state.params)
+
+    @pytest.mark.parametrize("kind", ["softmax_linear", "one_hidden_layer"])
+    def test_large_features_stay_finite(self, kind):
+        """Features scaled by 1e3 drive the logits far apart; the max-shifted
+        softmax keeps every step finite."""
+        rng = np.random.default_rng(8)
+        arch = ModelArch(kind, 5, 3, 4 if kind == "one_hidden_layer" else None)
+        x = rng.normal(size=(40, 5)) * 1e3
+        hard = rng.integers(0, 3, size=40)
+        trained = train(init_model(arch, seed=1), x, one_hot(hard, 3), hard,
+                        epochs=5, hyper=TrainHyper(learning_rate=0.5,
+                                                   batch_size=8, seed=2))
+        assert np.all(np.isfinite(trained.params))
+        assert np.all(np.isfinite(predict_batch(trained, x)))
+
     def test_loss_decreases_on_separable_data(self):
         rng = np.random.default_rng(5)
         arch = ModelArch("softmax_linear", 2, 2)
@@ -283,6 +373,39 @@ class TestTraining:
             train(state, np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0, int),
                   epochs=1, hyper=TrainHyper(learning_rate=0.1, batch_size=2,
                                              seed=0))
+
+
+KERNEL_PROBE = """
+import hashlib, json
+import numpy as np
+from purgekd.model import ModelArch, kernel_fingerprint
+rng = np.random.default_rng(0)
+product = rng.normal(size=(33, 64)) @ rng.normal(size=(64, 10))
+print(json.dumps([hashlib.blake2b(product.tobytes()).hexdigest(),
+                  kernel_fingerprint(ModelArch("one_hidden_layer", 5, 3, 4), 32)]))
+"""
+
+
+def _kernel_probe(**env):
+    """(matmul digest, kernel fingerprint) from a fresh single-threaded process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    base.update(OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")])),
+                **env)
+    out = subprocess.run([sys.executable, "-c", KERNEL_PROBE], env=base, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return json.loads(out.stdout)
+
+
+class TestKernelFingerprint:
+    def test_sees_a_blas_kernel_change(self):
+        """A BLAS kernel that changes matmul bits changes the fingerprint."""
+        matmul, fingerprint = _kernel_probe()
+        other_matmul, other_fingerprint = _kernel_probe(OPENBLAS_CORETYPE="Haswell")
+        if other_matmul == matmul:
+            pytest.skip("OPENBLAS_CORETYPE=Haswell does not change matmul bits here")
+        assert other_fingerprint != fingerprint
 
 
 class TestAggregation:

@@ -121,6 +121,30 @@ class TestManifest:
             with pytest.raises(ParseError, match="malformed manifest"):
                 load_system(path)
 
+    def test_version_2_manifest_refused(self, small_system, tmp_path):
+        """Version 2 recorded no kernel fingerprint, so nothing shows that
+        its checkpoints replay exactly here."""
+        path = tmp_path / "system.json"
+        save_manifest(small_system, path, "ckpt")
+        doc = json.loads(path.read_text())
+        doc["version"] = 2
+        for role in ("teacher", "student"):
+            del doc[role]["kernel"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=r"manifest version 2\b.*retrain"):
+            load_system(path)
+
+    @pytest.mark.parametrize("role", ["teacher", "student"])
+    def test_kernel_fingerprint_mismatch_refused(self, small_system, tmp_path, role):
+        path = tmp_path / "system.json"
+        save_manifest(small_system, path, "ckpt")
+        doc = json.loads(path.read_text())
+        kernel = doc[role]["kernel"]
+        doc[role]["kernel"] = ("0" if kernel[0] != "0" else "1") + kernel[1:]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=rf"{role} checkpoints.*fingerprint.*retrain"):
+            load_system(path)
+
     def test_dataset_written_once_beside_the_manifest(self, small_system, tmp_path):
         """A shared dataset is one digest-named file; saving again, or under
         another manifest name, neither adds nor rewrites one."""
