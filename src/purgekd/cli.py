@@ -180,6 +180,11 @@ def cmd_train(args) -> int:
             and all(map(_counts, slices_cfg))):
         raise ConfigError("student.slices_per_chunk: expected an integer >= 1 or "
                           "one list of integers >= 1 per constituent")
+    # One-hot teacher targets make the blend a no-op; labels use the student's temperature.
+    for key in ("hard_label_weight", "temperature"):
+        if _field(cfg, f"teacher.hyper.{key}", object, None) is not None:
+            raise ConfigError(f"teacher.hyper.{key}: a student setting only "
+                              f"(student.hyper.{key})")
     mapping_sizes = cfg.get("mapping_sizes")
     if mapping_sizes is not None and not _counts(mapping_sizes):
         raise ConfigError("mapping_sizes: expected a list of integers >= 1")

@@ -6,8 +6,8 @@ Partition coordinates are 1-based throughout: shard k in 1..N, chunk l in
 A plan resolves its point ids to dataset rows once, when it is built, and
 keeps per shard the row indices in plan order plus the chunk and slice
 boundaries. Every training round reads a prefix of its shard, so it gathers
-by row index alone; point ids appear only at the API and manifest boundary
-(locate, remove, the id listings and raw_slices).
+by row index alone; point ids appear only at the API boundary (locate,
+remove, the id listings and raw_slices).
 """
 
 from __future__ import annotations
@@ -179,15 +179,6 @@ def even_split_sizes(n: int, groups: int) -> list[int]:
     return [q + 1 if i < rem else q for i in range(groups)]
 
 
-def _split(seq, sizes):
-    out = []
-    pos = 0
-    for s in sizes:
-        out.append(seq[pos:pos + s])
-        pos += s
-    return out
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -196,9 +187,11 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class PartitionPlan:
     """Shard -> chunk -> slice hierarchy over the points of one dataset.
 
-    Built once from a seeded uniform permutation; afterwards mutated only by
-    remove (single writer). Group sizes at every level differ by at most one
-    at construction time.
+    Built by make_partition: shards, chunks and slices take consecutive runs
+    of a seeded uniform permutation ``order``, sized by even_split_sizes at
+    each level of ``slice_counts`` (R_{k,l} at [k-1][l-1]). Afterwards
+    mutated only by remove (single writer), which keeps the survivors' order
+    and the shape, so a plan is fixed by its seed, shape and removed ids.
 
     Per shard k the plan keeps the point ids and their dataset rows, both in
     plan order, and per chunk l the boundaries (start, end of slice 1, ...,
@@ -208,28 +201,27 @@ class PartitionPlan:
     remove replaces a shard's arrays, so copies share them safely.
     """
 
-    def __init__(self, slices, seed, dataset: Dataset):
-        # slices[k-1][l-1][j-1] is the ordered id sequence of slice (k, l, j)
+    def __init__(self, order: np.ndarray, slice_counts, seed, dataset: Dataset):
         self.seed = seed
-        self._ids, self._bounds = [], []
-        self._loc = {}
-        for k, shard in enumerate(slices, start=1):
-            parts = [np.asarray(sl, dtype=np.int64) for chunk in shard for sl in chunk]
-            ids = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-            ends = np.cumsum([0] + [len(p) for p in parts]).tolist()
-            bounds, first = [], 0
-            for l, chunk in enumerate(shard, start=1):
-                bounds.append(tuple(ends[first:first + len(chunk) + 1]))
-                for j in range(1, len(chunk) + 1):
-                    self._loc.update(dict.fromkeys(
-                        ids[ends[first + j - 1]:ends[first + j]].tolist(), (k, l, j)))
-                first += len(chunk)
+        rows = dataset.rows_for(order)  # one lookup resolves the whole plan
+        self._ids, self._rows, self._bounds, self._loc = [], [], [], {}
+        start = 0
+        for k, (size, counts) in enumerate(
+                zip(even_split_sizes(len(order), len(slice_counts)), slice_counts), start=1):
+            ids = order[start:start + size]
+            bounds, end = [], 0
+            for l, (chunk_size, r) in enumerate(
+                    zip(even_split_sizes(size, len(counts)), counts), start=1):
+                chunk_bounds = [end]
+                for j, width in enumerate(even_split_sizes(chunk_size, r), start=1):
+                    self._loc.update(dict.fromkeys(ids[end:end + width].tolist(), (k, l, j)))
+                    end += width
+                    chunk_bounds.append(end)
+                bounds.append(tuple(chunk_bounds))
             self._ids.append(_frozen(ids))
+            self._rows.append(_frozen(rows[start:start + size]))
             self._bounds.append(bounds)
-        # one lookup resolves the whole plan
-        rows = dataset.rows_for(np.concatenate(self._ids))
-        cuts = np.cumsum([len(ids) for ids in self._ids])[:-1]
-        self._rows = [_frozen(r) for r in np.split(rows, cuts)]
+            start += size
 
     @property
     def num_shards(self) -> int:
@@ -303,8 +295,16 @@ class PartitionPlan:
         dup._loc = dict(self._loc)
         return dup
 
+    def slice_counts(self) -> list[list[int]]:
+        """R_{k,l} per shard and chunk: the plan's shape, which removals keep."""
+        return [[len(b) - 1 for b in bounds] for bounds in self._bounds]
+
+    def removed_ids(self, dataset: Dataset) -> list[int]:
+        """Sorted ids of dataset, the plan's own, that the plan no longer holds."""
+        return np.sort(np.delete(dataset.ids, np.concatenate(self._rows))).tolist()
+
     def raw_slices(self):
-        """Nested id lists (copy), suitable for serialization."""
+        """Nested id lists (copy): slice (k, l, j) at [k-1][l-1][j-1]."""
         return [[[ids[b[j - 1]:b[j]].tolist() for j in range(1, len(b))] for b in bounds]
                 for ids, bounds in zip(self._ids, self._bounds)]
 
@@ -325,22 +325,9 @@ def make_partition(dataset: Dataset, num_shards: int, chunks_per_shard,
         raise PartitionError("chunks_per_shard must list one count per shard")
     if len(slices_per_chunk) != num_shards:
         raise PartitionError("slices_per_chunk must list one sequence per shard")
-    for k in range(num_shards):
-        if chunks_per_shard[k] < 1:
-            raise PartitionError(f"shard {k + 1}: chunk count must be >= 1")
+    for k in range(num_shards):  # counts below 1 fail in even_split_sizes
         if len(slices_per_chunk[k]) != chunks_per_shard[k]:
             raise PartitionError(f"shard {k + 1}: need one slice count per chunk")
-        if any(r < 1 for r in slices_per_chunk[k]):
-            raise PartitionError(f"shard {k + 1}: slice counts must be >= 1")
 
-    perm = np.random.default_rng(seed).permutation(dataset.ids)
-    shards = _split(perm, even_split_sizes(len(perm), num_shards))
-    nested = []
-    for k in range(num_shards):
-        chunks = _split(shards[k], even_split_sizes(len(shards[k]), chunks_per_shard[k]))
-        shard_slices = []
-        for l in range(chunks_per_shard[k]):
-            r = slices_per_chunk[k][l]
-            shard_slices.append(_split(chunks[l], even_split_sizes(len(chunks[l]), r)))
-        nested.append(shard_slices)
-    return PartitionPlan(nested, seed, dataset)
+    return PartitionPlan(np.random.default_rng(seed).permutation(dataset.ids),
+                         slices_per_chunk, seed, dataset)

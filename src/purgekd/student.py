@@ -22,7 +22,7 @@ from . import model
 from .checkpoints import CheckpointKey, CheckpointStore, record_state, state_record
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan, even_split_sizes, make_partition
-from .errors import NotFoundError
+from .errors import NotFoundError, PartitionError
 from .model import (SEED_STUDENT, SEED_STUDENT_PLAN, ModelArch, ModelState,
                     SoftLabelChunk, TrainHyper, mix_seed, subensemble_soft_labels)
 from .teacher import TrainBudget
@@ -32,17 +32,17 @@ MODES = ("purge", "naive_sisa", "single_teacher")
 
 @dataclass(frozen=True)
 class ConstituentMapping:
-    """Disjoint ordered assignment of teacher members 1..M to constituents."""
+    """Teachers 1..M to constituents in consecutive runs, fixed by the run
+    lengths (see build_mapping)."""
 
     assignment: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         seen = [m for ms in self.assignment for m in ms]
-        expected = list(range(1, len(seen) + 1))
         if not self.assignment or any(not ms for ms in self.assignment):
             raise ValueError("every constituent needs at least one teacher")
-        if sorted(seen) != expected:
-            raise ValueError("assignment must partition teachers 1..M")
+        if seen != list(range(1, len(seen) + 1)):
+            raise ValueError("assignment must list teachers 1..M in index order")
 
     @property
     def num_students(self) -> int:
@@ -116,10 +116,6 @@ class StudentNetwork:
     arch: ModelArch
     hyper: TrainHyper
     seed: int
-
-    @property
-    def constituent_count(self) -> int:
-        return len(self.constituents)
 
     @property
     def provenance(self) -> dict:
@@ -211,34 +207,43 @@ def generate_chunk_labels(mode: str, mapping: ConstituentMapping,
         temperature)
 
 
+def student_structure(dataset: Dataset, slice_counts, seed: int, removed,
+                      teacher_members, mode: str, temperature: float):
+    """A student network's plan, drawn with seed in the shape slice_counts
+    minus the removed ids; its mapping, one teacher per chunk of each shard;
+    and every chunk's soft labels. Returns (plan, mapping, soft_labels)."""
+    chunk_counts = [len(row) for row in slice_counts]
+    plan = make_partition(dataset, len(chunk_counts), chunk_counts, slice_counts, seed)
+    for point_id in removed:
+        plan.remove(point_id)
+    mapping = build_mapping(len(teacher_members), len(chunk_counts), chunk_counts)
+    soft_labels = {(k, l): generate_chunk_labels(mode, mapping, teacher_members, plan,
+                                                 dataset, k, l, temperature)
+                   for k in range(1, len(chunk_counts) + 1)
+                   for l in range(1, chunk_counts[k - 1] + 1)}
+    return plan, mapping, soft_labels
+
+
 def train_student_network(dataset: Dataset, mapping: ConstituentMapping,
                           teacher_members, budget: TrainBudget, arch: ModelArch,
                           hyper: TrainHyper, store: CheckpointStore,
                           ledger: CostLedger, mode: str, seed: int,
                           slices_per_chunk) -> StudentNetwork:
-    """Partition the dataset into one shard per constituent (chunk counts set
-    by the mapping) and train every constituent: label its chunks, then
-    checkpoint its initial state and replay every round.
-
-    slices_per_chunk is either a single int r or explicit per-shard
-    sequences of R_{k,l}.
-    """
-    n = mapping.num_students
-    chunk_counts = [mapping.chunk_count(k) for k in range(1, n + 1)]
+    """Build the structure (student_structure), then train every
+    constituent: checkpoint its initial state and replay every round.
+    slices_per_chunk is a single int r or one row of R_{k,l} per shard, one
+    count per chunk of the mapping."""
+    chunk_counts = [len(ms) for ms in mapping.assignment]
     if isinstance(slices_per_chunk, int):
-        slice_counts = [[slices_per_chunk] * c_k for c_k in chunk_counts]
-    else:
-        slice_counts = [list(row) for row in slices_per_chunk]
-    plan = make_partition(dataset, n, chunk_counts, slice_counts,
-                          mix_seed(seed, SEED_STUDENT_PLAN))
-
-    soft_labels: dict = {}
+        slices_per_chunk = [[slices_per_chunk] * c for c in chunk_counts]
+    elif [len(row) for row in slices_per_chunk] != chunk_counts:
+        raise PartitionError(f"slices_per_chunk needs one row per constituent with "
+                             f"one count per chunk, of lengths {chunk_counts}")
+    plan, _, soft_labels = student_structure(
+        dataset, slices_per_chunk, mix_seed(seed, SEED_STUDENT_PLAN), (),
+        teacher_members, mode, hyper.temperature)
     states = []
-    for k in range(1, n + 1):
-        for l in range(1, plan.chunks_in_shard(k) + 1):
-            soft_labels[(k, l)] = generate_chunk_labels(
-                mode, mapping, teacher_members, plan, dataset, k, l,
-                hyper.temperature)
+    for k in range(1, mapping.num_students + 1):
         state = model.init_model(arch, mix_seed(seed, SEED_STUDENT, k))
         key = CheckpointKey("student", k, 0, 0)
         store.save(key, state_record(key, state))

@@ -2,13 +2,15 @@
 step ledger, plus lossless manifest save/load.
 
 A manifest (sorted JSON, floats via repr) holds structure only: seeds,
-architectures, hyperparameters, mapping, plans, the checkpoint directory,
-and each dataset's file name and digest. Model states live in the
-checkpoint store. A dataset is one file beside the manifest (three ``.npy``
-arrays: ids, labels, features), named by its blake2b digest and written only
-when absent, so a removal never rewrites it. Soft labels are derived on load
-from the loaded teachers; label inference is row-independent, so they equal
-the cached ones bit for bit. Reruns write byte-identical files.
+architectures, hyperparameters, the checkpoint directory, each dataset's
+file name and digest, and each role's plan as its seed, its shape and the
+sorted ids it no longer holds. Model states live in the checkpoint store. A
+dataset is one file beside the manifest (three ``.npy`` arrays: ids,
+labels, features), named by its blake2b digest and written only when
+absent, so a removal never rewrites it. A load builds each role through the
+constructors training uses; label inference is row-independent, so derived
+soft labels equal the cached ones bit for bit. Reruns write byte-identical
+files.
 
 Each role also records ``model.kernel_fingerprint`` of its architecture and
 batch size. Replay reproduces a checkpoint only on the numeric kernels that
@@ -22,7 +24,7 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,14 +32,15 @@ import numpy as np
 from .checkpoints import CheckpointKey, CheckpointStore, record_state
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan
-from .errors import ConfigError, ParseError, StorageError
+from .errors import ConfigError, NotFoundError, ParseError, PartitionError, StorageError
 from .model import ModelArch, TrainHyper, kernel_fingerprint
-from .student import (ConstituentMapping, StudentNetwork, build_mapping,
-                      generate_chunk_labels, train_student_network)
-from .teacher import TeacherEnsemble, TrainBudget, train_teacher_ensemble
+from .student import (StudentNetwork, build_mapping, student_structure,
+                      train_student_network)
+from .teacher import (TeacherEnsemble, TrainBudget, partition_members,
+                      train_teacher_ensemble)
 
 MANIFEST_KIND = "system_manifest"
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
 
 
 @dataclass
@@ -88,16 +91,12 @@ def train_system(*, student_dataset: Dataset, teacher_dataset: Dataset | None,
 def snapshot(system: TrainedSystem) -> TrainedSystem:
     """Read-only copy of the mutable parts (states, plans, labels) for
     before/after comparisons; shares the datasets, store and ledger."""
-    t = system.teacher
-    s = system.student
-    teacher = TeacherEnsemble([m.copy() for m in t.members], t.plan.copy(),
-                              t.dataset, t.budget, t.arch, t.hyper, t.seed)
-    student = StudentNetwork([c.copy() for c in s.constituents], s.mapping,
-                             s.plan.copy(), s.dataset, s.mode,
-                             dict(s.soft_labels), s.budget, s.arch, s.hyper,
-                             s.seed)
-    return TrainedSystem(system.seed, system.shared_dataset, teacher, student,
-                         system.store, system.ledger, system.budget)
+    t, s = system.teacher, system.student
+    return replace(system,
+                   teacher=replace(t, members=[m.copy() for m in t.members],
+                                   plan=t.plan.copy()),
+                   student=replace(s, constituents=[c.copy() for c in s.constituents],
+                                   plan=s.plan.copy(), soft_labels=dict(s.soft_labels)))
 
 
 # ----------------------------------------------------------------------------
@@ -138,13 +137,30 @@ def _load_dataset(entry: dict, directory: Path) -> Dataset:
     return Dataset(ids, features, labels, entry["num_classes"])
 
 
+def _plan_args(entry: dict) -> tuple:
+    """(shape, seed, removed ids) of a plan's manifest entry."""
+    if not all(type(p) is int for p in entry["removed"]):
+        raise TypeError("a plan's removed ids must be integers")
+    return entry["slices"], entry["seed"], entry["removed"]
+
+
+def _role_entry(net, dataset_entry: dict) -> dict:
+    """What the manifest records of either role, its plan included."""
+    return {"arch": asdict(net.arch), "hyper": asdict(net.hyper),
+            "kernel": kernel_fingerprint(net.arch, net.hyper.batch_size),
+            "plan": {"seed": net.plan.seed, "slices": net.plan.slice_counts(),
+                     "removed": net.plan.removed_ids(net.dataset)},
+            "dataset": dataset_entry}
+
+
 def save_manifest(system: TrainedSystem, path, checkpoint_dir: str) -> None:
     """Write the system's manifest, plus any dataset file not yet beside it.
     checkpoint_dir is recorded relative to the manifest's directory."""
     path = Path(path)
-    s = system.student
-    t = system.teacher
+    s, t = system.student, system.teacher
     student_dataset = _save_dataset(s.dataset, path.parent)
+    teacher_dataset = (student_dataset if system.shared_dataset
+                       else _save_dataset(t.dataset, path.parent))
     doc = {
         "kind": MANIFEST_KIND,
         "version": MANIFEST_VERSION,
@@ -152,25 +168,9 @@ def save_manifest(system: TrainedSystem, path, checkpoint_dir: str) -> None:
         "shared_dataset": system.shared_dataset,
         "checkpoint_dir": checkpoint_dir,
         "budget": {"e_prime": system.budget.e_prime},
-        "teacher": {
-            "members": t.member_count,
-            "arch": asdict(t.arch),
-            "hyper": asdict(t.hyper),
-            "kernel": kernel_fingerprint(t.arch, t.hyper.batch_size),
-            "plan": {"seed": t.plan.seed, "slices": t.plan.raw_slices()},
-            "dataset": student_dataset if system.shared_dataset
-            else _save_dataset(t.dataset, path.parent),
-        },
-        "student": {
-            "constituents": s.constituent_count,
-            "mode": s.mode,
-            "arch": asdict(s.arch),
-            "hyper": asdict(s.hyper),
-            "kernel": kernel_fingerprint(s.arch, s.hyper.batch_size),
-            "mapping": [list(ms) for ms in s.mapping.assignment],
-            "plan": {"seed": s.plan.seed, "slices": s.plan.raw_slices()},
-            "dataset": student_dataset,
-        },
+        "teacher": dict(_role_entry(t, teacher_dataset), members=t.member_count),
+        "student": dict(_role_entry(s, student_dataset), mode=s.mode,
+                        constituents=len(s.constituents)),
     }
     path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
                     encoding="utf-8")
@@ -178,10 +178,10 @@ def save_manifest(system: TrainedSystem, path, checkpoint_dir: str) -> None:
 
 def load_system(path) -> TrainedSystem:
     """Reconstruct a trained system from a manifest: datasets from their
-    digest-checked files, final model states from the latest checkpoint
-    generations in the referenced store, soft labels derived from the
-    loaded teachers. A role whose kernel fingerprint differs from this
-    process's is refused with ParseError."""
+    digest-checked files, plans, mapping and soft labels through the
+    training constructors, final model states from the latest checkpoint
+    generations in the referenced store. A role whose kernel fingerprint
+    differs from this process's is refused with ParseError."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -195,9 +195,17 @@ def load_system(path) -> TrainedSystem:
                          f"retrain to rebuild the run")
     try:
         return _system_from(doc, path)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, NotFoundError,
+            PartitionError) as exc:
         raise ParseError(f"{path}: malformed manifest "
                          f"({type(exc).__name__}: {exc})") from None
+
+
+def _final_states(store: CheckpointStore, role: str, plan: PartitionPlan) -> list:
+    """Each shard's model state after its last round, from the store."""
+    return [record_state(store.load(CheckpointKey(
+        role, k, plan.chunks_in_shard(k), plan.slices_in_chunk(k, plan.chunks_in_shard(k)))))
+        for k in range(1, plan.num_shards + 1)]
 
 
 def _system_from(doc: dict, path: Path) -> TrainedSystem:
@@ -214,42 +222,25 @@ def _system_from(doc: dict, path: Path) -> TrainedSystem:
                              f"(fingerprint {rdoc['kernel']}, here {here}), so replay "
                              f"would not be exact; retrain to rebuild the run")
     budget = TrainBudget(doc["budget"]["e_prime"])
-    seed = doc["seed"]
-    shared = doc["shared_dataset"]
-    sdoc = doc["student"]
-    tdoc = doc["teacher"]
+    seed, shared = doc["seed"], doc["shared_dataset"]
+    sdoc, tdoc = doc["student"], doc["teacher"]
     student_dataset = _load_dataset(sdoc["dataset"], root)
     teacher_dataset = student_dataset if shared else _load_dataset(tdoc["dataset"], root)
     store = CheckpointStore(store_root)
 
-    teacher_plan = PartitionPlan(tdoc["plan"]["slices"], tdoc["plan"]["seed"],
-                                 teacher_dataset)
-    members = []
-    for m in range(1, tdoc["members"] + 1):
-        r_t = teacher_plan.slices_in_chunk(m, 1)
-        members.append(record_state(store.load(CheckpointKey("teacher", m, 1, r_t))))
+    teacher_plan = partition_members(teacher_dataset, *_plan_args(tdoc["plan"]))
+    members = _final_states(store, "teacher", teacher_plan)
+    hyper = TrainHyper(**sdoc["hyper"])
+    student_plan, mapping, soft_labels = student_structure(
+        student_dataset, *_plan_args(sdoc["plan"]), members, sdoc["mode"],
+        hyper.temperature)
+    if (tdoc["members"], sdoc["constituents"]) != (len(members), student_plan.num_shards):
+        raise ValueError("teacher.members or student.constituents differs from its plan")
     teacher = TeacherEnsemble(members, teacher_plan, teacher_dataset, budget,
                               ModelArch(**tdoc["arch"]), TrainHyper(**tdoc["hyper"]),
                               seed)
-
-    student_plan = PartitionPlan(sdoc["plan"]["slices"], sdoc["plan"]["seed"],
-                                 student_dataset)
-    mapping = ConstituentMapping(tuple(tuple(ms) for ms in sdoc["mapping"]))
-    mode = sdoc["mode"]
-    hyper = TrainHyper(**sdoc["hyper"])
-    soft_labels = {}
-    constituents = []
-    for k in range(1, sdoc["constituents"] + 1):
-        c_k = student_plan.chunks_in_shard(k)
-        for l in range(1, c_k + 1):
-            soft_labels[(k, l)] = generate_chunk_labels(
-                mode, mapping, members, student_plan, student_dataset, k, l,
-                hyper.temperature)
-        r_last = student_plan.slices_in_chunk(k, c_k)
-        constituents.append(record_state(
-            store.load(CheckpointKey("student", k, c_k, r_last))))
-    student = StudentNetwork(constituents, mapping, student_plan, student_dataset,
-                             mode, soft_labels, budget, ModelArch(**sdoc["arch"]),
-                             hyper, seed)
+    student = StudentNetwork(_final_states(store, "student", student_plan), mapping,
+                             student_plan, student_dataset, sdoc["mode"], soft_labels,
+                             budget, ModelArch(**sdoc["arch"]), hyper, seed)
     return TrainedSystem(seed, shared, teacher, student, store, CostLedger(),
                          budget)

@@ -99,15 +99,25 @@ def train_teacher_member(m: int, plan: PartitionPlan, dataset: Dataset,
                          ledger, "initial_train")[0]
 
 
+def partition_members(dataset: Dataset, slice_counts, seed: int,
+                      removed) -> PartitionPlan:
+    """The teacher plan: member m's shard m has one chunk of
+    slice_counts[m-1][0] slices, drawn with seed, minus the removed ids."""
+    plan = make_partition(dataset, len(slice_counts), [1] * len(slice_counts),
+                          slice_counts, seed)
+    for point_id in removed:
+        plan.remove(point_id)
+    return plan
+
+
 def train_teacher_ensemble(dataset: Dataset, members: int, slices_per_member: int,
                            budget: TrainBudget, arch: ModelArch, hyper: TrainHyper,
                            store: CheckpointStore, ledger: CostLedger,
                            seed: int) -> TeacherEnsemble:
     """Partition the dataset into one shard per member and train each member
     independently on its own shard."""
-    plan = make_partition(dataset, members, [1] * members,
-                          [[slices_per_member]] * members,
-                          mix_seed(seed, SEED_TEACHER_PLAN))
+    plan = partition_members(dataset, [[slices_per_member]] * members,
+                             mix_seed(seed, SEED_TEACHER_PLAN), ())
     states = [train_teacher_member(m, plan, dataset, budget, arch, hyper,
                                    store, ledger, seed)
               for m in range(1, members + 1)]
@@ -119,9 +129,9 @@ def teacher_unlearn(ensemble: TeacherEnsemble, point_id, store: CheckpointStore,
     """Remove one point from its owning member's shard and replay training
     from the last checkpoint that never saw it.
 
-    Returns (ensemble, member m, slice j the point sat in, data-point steps,
-    reverted checkpoint description). Checkpoints from slice j onward are
-    overwritten (generation bump); the other members are untouched.
+    Returns (data-point steps, reverted checkpoint description). Checkpoints
+    from the point's slice onward are overwritten (generation bump); the
+    other members are untouched.
     """
     m, _, j = ensemble.plan.locate(point_id)
     ensemble.plan.remove(point_id)
@@ -130,4 +140,4 @@ def teacher_unlearn(ensemble: TeacherEnsemble, point_id, store: CheckpointStore,
     ensemble.members[m - 1], steps = replay_member(
         record_state(record), m, j, ensemble.plan, ensemble.dataset,
         ensemble.budget, ensemble.hyper, store, ledger, "teacher_retrain")
-    return ensemble, m, j, steps, f"{key}@{record.generation}"
+    return steps, f"{key}@{record.generation}"

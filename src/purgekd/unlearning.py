@@ -128,7 +128,7 @@ def apply_request(system, request: UnlearnRequest):
                            affected_student_constituents=tuple(sorted(starts)))
     reverted = []
     if member is not None:
-        _, _, _, report.teacher_steps, rev = teacher_unlearn(
+        report.teacher_steps, rev = teacher_unlearn(
             system.teacher, pid, system.store, system.ledger)
         report.affected_teacher_members = (member,)
         reverted.append(rev)

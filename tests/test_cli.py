@@ -111,6 +111,16 @@ class TestTrain:
         assert err.startswith("config error: student.slices_per_chunk")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("key", ["hard_label_weight", "temperature"])
+    def test_student_only_hyper_keys_exit_2(self, config_path, tmp_path, capsys, key):
+        """Teachers train on one-hot targets and never set a temperature, so
+        these keys in the teacher block would change nothing."""
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "run"),
+                     "--set", f"teacher.hyper.{key}=0.3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: teacher.hyper.{key}")
+        assert f"student.hyper.{key}" in err and len(err.splitlines()) == 1
+
     def test_csv_dataset_errors_exit_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("0,1,not_a_float\n")
@@ -250,6 +260,31 @@ class TestUnlearn:
                      "--requests", str(out / "requests.csv")]) == 3
         err = capsys.readouterr().err
         assert "manifest version 1" in err and "retrain" in err
+
+    def test_version_3_manifest_exits_3(self, config_path, tmp_path, capsys):
+        out = _train(config_path, tmp_path / "run")
+        doc = json.loads((out / "system.json").read_text())
+        doc["version"] = 3
+        (out / "system.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["unlearn", "--system", str(out),
+                     "--requests", str(out / "requests.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "manifest version 3" in err and "retrain" in err
+
+    @pytest.mark.parametrize("role", ["teacher", "student"])
+    def test_removed_id_outside_the_dataset_exits_3(self, config_path, tmp_path,
+                                                    capsys, role):
+        out = _train(config_path, tmp_path / "run")
+        doc = json.loads((out / "system.json").read_text())
+        doc[role]["plan"]["removed"] = [424242]
+        (out / "system.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["unlearn", "--system", str(out),
+                     "--requests", str(out / "requests.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "malformed manifest" in err
+        assert "424242" in err and len(err.splitlines()) == 1
 
     def test_reload_roundtrip_preserves_behavior(self, config_path, tmp_path):
         """Unlearning via a reloaded manifest matches unlearning in the

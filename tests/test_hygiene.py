@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in the package is used, and
-every private function, class and method is referenced somewhere in it."""
+"""Source hygiene: every module-level import in the package is used, every
+private function, class and method is referenced somewhere in it, and every
+function parameter is read."""
 
 import ast
 from pathlib import Path
@@ -49,6 +50,26 @@ def unreferenced_private(sources) -> list[str]:
     return sorted(q for q, name in defined.items() if name not in used)
 
 
+def unused_parameters(source: str) -> list[str]:
+    """function.parameter for each parameter (self and cls aside) that its
+    function's body, nested functions included, never reads."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        used = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        out += [f"{node.name}.{p.arg}" for p in params
+                if p.arg not in used and p.arg not in ("self", "cls")]
+    return out
+
+
+# bench/checks.py calls run_student_round with these two positionally (see
+# tests/test_bench_contract.py), so they stay until the benchmark's next change.
+UNUSED_FOR_THE_BENCHMARK = ["run_student_round.provenance", "run_student_round.alpha"]
+
+
 def test_package_has_modules():
     assert len(MODULES) >= 5
 
@@ -75,3 +96,16 @@ def test_detects_unreferenced_private():
               "        pass\n")
     caller = "from .a import _used\n_used()\nobj._called()\n"
     assert unreferenced_private([module, caller]) == ["_Gone", "_Gone._helper", "_orphan"]
+
+
+def test_every_parameter_is_read():
+    unused = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name in unused_parameters(path.read_text(encoding="utf-8"))]
+    assert unused == [f"student.py: {name}" for name in UNUSED_FOR_THE_BENCHMARK]
+
+
+def test_detects_unused_parameter():
+    src = ("def f(a, b, *rest, c=1, **extra):\n    return a + c\n\n\n"
+           "class K:\n    def m(self, x):\n        def inner():\n            return x\n"
+           "        return inner\n")
+    assert unused_parameters(src) == ["f.b", "f.rest", "f.extra"]

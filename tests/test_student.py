@@ -67,6 +67,8 @@ class TestMapping:
             build_mapping(2, 4)
         with pytest.raises(ValueError):
             ConstituentMapping(((1, 2), (2, 3)))  # teacher 2 reused
+        with pytest.raises(ValueError):
+            ConstituentMapping(((1, 3), (2, 4)))  # not fixed by the chunk counts
 
     def test_chunk_teacher_ids_by_mode(self):
         mapping = build_mapping(6, 2)

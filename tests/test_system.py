@@ -114,7 +114,12 @@ class TestManifest:
                      lambda d: d["student"].pop("plan"),
                      lambda d: d["student"]["dataset"].update(num_classes=None),
                      lambda d: d.update(student=[]),
-                     lambda d: d["student"].update(mode="magic")):
+                     lambda d: d["student"].update(mode="magic"),
+                     lambda d: d["teacher"]["plan"].update(slices=[[2, 1]] * 4),
+                     lambda d: d["student"]["plan"].update(slices=[[2, 2, 2]]),
+                     lambda d: d["student"]["plan"].update(removed=[424242]),
+                     lambda d: d["teacher"]["plan"].update(removed=[5, 5]),
+                     lambda d: d["student"]["plan"].update(removed=[5.0])):
             doc = json.loads(good)
             edit(doc)
             path.write_text(json.dumps(doc))
@@ -133,6 +138,48 @@ class TestManifest:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match=r"manifest version 2\b.*retrain"):
             load_system(path)
+
+    def test_version_3_manifest_refused(self, small_system, tmp_path):
+        """Version 3 wrote each plan as nested id lists and the mapping
+        beside it; version 4 rebuilds both from seed, shape and removed ids."""
+        path = tmp_path / "system.json"
+        save_manifest(small_system, path, "ckpt")
+        doc = json.loads(path.read_text())
+        doc["version"] = 3
+        for role in ("teacher", "student"):
+            plan = getattr(small_system, role).plan
+            doc[role]["plan"] = {"seed": plan.seed, "slices": plan.raw_slices()}
+        doc["student"]["mapping"] = [[1, 2], [3, 4]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=r"manifest version 3\b.*retrain"):
+            load_system(path)
+
+    def test_size_does_not_grow_with_the_dataset(self, system_factory, tmp_path):
+        """Only a plan's removed ids list points: a manifest of a system
+        trained on four times the data has as many bytes, and a removal
+        grows nothing but the removed lists."""
+        texts = []
+        for points in (80, 320):
+            system = system_factory(dataset=gen_synthetic(SyntheticSpec(
+                num_classes=3, points_per_class=points, feature_dim=5, seed=7)))
+            save_manifest(system, tmp_path / "system.json", system.store.root.name)
+            texts.append((tmp_path / "system.json").read_text())
+        assert len(texts[0]) == len(texts[1])
+
+        victim = system.student.plan.slice_ids(1, 2, 1)[0]
+        apply_request(system, UnlearnRequest(1, "simultaneous", victim))
+        save_manifest(system, tmp_path / "system.json", system.store.root.name)
+        texts.append((tmp_path / "system.json").read_text())
+
+        def lists(node, where=""):
+            if isinstance(node, dict):
+                return [x for key, v in node.items() for x in lists(v, f"{where}.{key}")]
+            return [(where, node)] if isinstance(node, list) else []
+
+        before, after = (lists(json.loads(text)) for text in texts[1:])
+        assert max(len(v) for _, v in before) == 4  # the teacher plan's shards
+        assert [(w, v) for (w, v), (_, b) in zip(after, before) if v != b] == [
+            (".student.plan.removed", [victim]), (".teacher.plan.removed", [victim])]
 
     @pytest.mark.parametrize("role", ["teacher", "student"])
     def test_kernel_fingerprint_mismatch_refused(self, small_system, tmp_path, role):
@@ -161,23 +208,46 @@ class TestManifest:
         assert "soft_labels" not in doc["student"]
 
     def test_reload_after_mixed_stream_is_bit_exact(self, streamed_system, tmp_path):
-        """Derived soft labels equal the cached ones bit for bit after
-        student-side, teacher-side and simultaneous removals."""
-        system = streamed_system
-        save_manifest(system, tmp_path / "system.json", "ckpt")
-        loaded = load_system(tmp_path / "system.json")
-        for side in ("teacher", "student"):
-            assert getattr(loaded, side).plan.raw_slices() == \
-                getattr(system, side).plan.raw_slices()
-        assert loaded.student.soft_labels.keys() == system.student.soft_labels.keys()
-        for key, chunk in system.student.soft_labels.items():
-            got = loaded.student.soft_labels[key]
-            assert got.ids.tobytes() == chunk.ids.tobytes()
-            assert got.probs.tobytes() == chunk.probs.tobytes()
-        for a, b in zip(loaded.student.constituents + loaded.teacher.members,
-                        system.student.constituents + system.teacher.members):
-            assert a.params.tobytes() == b.params.tobytes()
-            assert a.rng_cursor == b.rng_cursor
+        """Plans rebuilt from seed, shape and removed ids, and soft labels
+        derived on load, equal the live ones bit for bit: after student-side,
+        teacher-side and simultaneous removals, and on a system with a
+        separate teacher dataset, uneven mapping sizes, nested slice counts
+        and an emptied chunk."""
+        data = [gen_synthetic(SyntheticSpec(num_classes=3, points_per_class=points,
+                                            feature_dim=5, seed=seed))
+                for points, seed in ((20, 7), (30, 8))]
+        arch = ModelArch("softmax_linear", 5, 3)
+        separate = train_system(
+            student_dataset=data[0], teacher_dataset=data[1], teacher_members=4,
+            teacher_slices=3, student_constituents=2, slices_per_chunk=[[2, 1, 2], [3]],
+            mode="purge", e_prime=6, teacher_arch=arch, student_arch=arch,
+            teacher_hyper=TrainHyper(learning_rate=0.1, batch_size=8, seed=1),
+            student_hyper=TrainHyper(learning_rate=0.1, batch_size=8, seed=2),
+            store=CheckpointStore(tmp_path / "separate"), seed=5, mapping_sizes=[3, 1])
+        emptied = separate.student.plan.chunk_ids(1, 2)
+        victims = [("student_point", p) for p in emptied] + [
+            ("teacher_point", separate.teacher.plan.slice_ids(2, 1, 2)[0]),
+            ("student_point", separate.student.plan.slice_ids(2, 1, 3)[0])]
+        for seq, (kind, pid) in enumerate(victims, 1):
+            apply_request(separate, UnlearnRequest(seq, kind, pid))
+        assert len(separate.student.soft_labels[(1, 2)]) == 0
+
+        for system in (streamed_system, separate):
+            save_manifest(system, tmp_path / "system.json", system.store.root.name)
+            loaded = load_system(tmp_path / "system.json")
+            assert loaded.student.mapping == system.student.mapping
+            for side in ("teacher", "student"):
+                assert getattr(loaded, side).plan.raw_slices() == \
+                    getattr(system, side).plan.raw_slices()
+            assert loaded.student.soft_labels.keys() == system.student.soft_labels.keys()
+            for key, chunk in system.student.soft_labels.items():
+                got = loaded.student.soft_labels[key]
+                assert got.ids.tobytes() == chunk.ids.tobytes()
+                assert got.probs.tobytes() == chunk.probs.tobytes()
+            for a, b in zip(loaded.student.constituents + loaded.teacher.members,
+                            system.student.constituents + system.teacher.members):
+                assert a.params.tobytes() == b.params.tobytes()
+                assert a.rng_cursor == b.rng_cursor
 
     def test_emptied_chunk_reloads(self, system_factory, tmp_path):
         """A chunk whose points were all removed reloads with an empty

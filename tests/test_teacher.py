@@ -82,6 +82,21 @@ class TestInitialTraining:
         for x, y in zip(a.members, b.members):
             np.testing.assert_array_equal(x.params, y.params)
 
+    def test_hard_label_weight_changes_no_bit(self, small_dataset, tmp_path):
+        """Teachers train on one-hot targets, and fl(fl(1 - a) + a) = 1, so
+        blending in the hard label is the identity for them."""
+        states = []
+        for weight in (0.0, 0.3):
+            ensemble = train_teacher_ensemble(
+                small_dataset, 4, 2, TrainBudget(8),
+                ModelArch("softmax_linear", small_dataset.feature_dim,
+                          small_dataset.num_classes),
+                TrainHyper(learning_rate=0.1, batch_size=32, hard_label_weight=weight,
+                           seed=1),
+                CheckpointStore(tmp_path / str(weight)), CostLedger(), 11)
+            states.append([(m.params.tobytes(), m.rng_cursor) for m in ensemble.members])
+        assert states[0] == states[1]
+
     def test_ensemble_prediction_averages_members(self, small_dataset,
                                                   tmp_path):
         store = CheckpointStore(tmp_path / "s")
@@ -101,8 +116,8 @@ class TestUnlearning:
         ensemble, ledger = _build(small_dataset, store)
         victim = ensemble.plan.slice_ids(2, 1, 2)[3]
 
-        _, m, j, steps, reverted = teacher_unlearn(ensemble, victim, store,
-                                                   ledger)
+        m, _, j = ensemble.plan.locate(victim)
+        steps, reverted = teacher_unlearn(ensemble, victim, store, ledger)
         assert (m, j) == (2, 2)
         assert victim not in ensemble.plan
         assert reverted == "teacher:2:1:1@1"
@@ -134,7 +149,8 @@ class TestUnlearning:
         ensemble, ledger = _build(small_dataset, store)
         victim = ensemble.plan.slice_ids(1, 1, 1)[0]
         before_gen = store.latest_generation(CheckpointKey("teacher", 1, 1, 1))
-        _, m, j, _, reverted = teacher_unlearn(ensemble, victim, store, ledger)
+        m, _, j = ensemble.plan.locate(victim)
+        _, reverted = teacher_unlearn(ensemble, victim, store, ledger)
         assert (m, j) == (1, 1)
         assert reverted == "teacher:1:0:0@1"
         after_gen = store.latest_generation(CheckpointKey("teacher", 1, 1, 1))
@@ -146,7 +162,7 @@ class TestUnlearning:
         ensemble, ledger = _build(small_dataset, store)
         victim = ensemble.plan.slice_ids(4, 1, 2)[1]
         base = ledger.total(phase="teacher_retrain")
-        _, _, _, steps, _ = teacher_unlearn(ensemble, victim, store, ledger)
+        steps, _ = teacher_unlearn(ensemble, victim, store, ledger)
         assert ledger.total(phase="teacher_retrain") - base == steps
 
     def test_sequential_removals_stay_exact(self, small_dataset, tmp_path):
