@@ -21,7 +21,7 @@ from .data import (Dataset, PartitionPlan, SyntheticSpec, even_split_sizes,
 from .errors import (ConfigError, DataError, DimensionError, NotFoundError,
                      ParseError, PartitionError, StorageError)
 from .model import (ModelArch, ModelState, SoftLabelChunk, TrainHyper,
-                    aggregate_batch, distill_loss, init_model,
+                    aggregate_batch, init_model,
                     mean_distill_loss, mix_seed, one_hot, predict_batch,
                     subensemble_soft_labels, train)
 from .student import (MODES, ConstituentMapping, StudentNetwork, build_mapping,
@@ -45,7 +45,7 @@ __all__ = [
     "SyntheticSpec", "TeacherEnsemble", "TrainBudget", "TrainHyper",
     "TrainedSystem", "UnlearnReport", "UnlearnRequest", "aggregate_batch", "apply_request", "avg_retrain_steps",
     "build_mapping", "ceiling_effect_bound", "chunk_teacher_ids",
-    "distill_loss", "epochs_per_slice", "evaluate_accuracy",
+    "epochs_per_slice", "evaluate_accuracy",
     "even_split_sizes", "expected_student_unlearn_fraction", "gen_synthetic",
     "generate_requests", "init_model", "is_aligned", "load_csv", "load_system",
     "loss_trace", "make_partition", "mean_distill_loss", "mix_seed", "one_hot",

@@ -1,4 +1,8 @@
-"""Lossless on-disk persistence of model states.
+"""Lossless on-disk persistence of model states, and the one checkpointed
+lifecycle of both roles: ``retrain`` runs model k's slice rounds from its
+seeded initial state, ``revert_and_replay`` from the checkpoint
+``revert_key`` names, both through ``replay``. A role (``TeacherEnsemble``,
+``StudentNetwork``) supplies only ``role``, ``seed_domain`` and ``run_round``.
 
 Layout: one append-only log, ``<root>/store.log``, holds every record the
 store has saved. Saving a logical key again appends its record under the next
@@ -39,8 +43,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .costmodel import CostLedger
 from .errors import NotFoundError, StorageError
-from .model import ModelArch, ModelState
+from .model import ModelArch, ModelState, init_model, mix_seed, stream_hyper
 
 MAGIC = b"PKC1"
 VERSION = 2
@@ -105,6 +110,42 @@ def revert_key(role: str, plan, k: int, l: int, j: int) -> CheckpointKey:
     if l > 1:
         return CheckpointKey(role, k, l - 1, plan.slices_in_chunk(k, l - 1))
     return CheckpointKey(role, k, 0, 0)
+
+
+def replay(net, state: ModelState, k: int, l: int, j: int,
+           store: CheckpointStore | None, ledger: CostLedger, phase: str):
+    """Run model k of net from state, the state before round (l, j), through
+    its last round; each ``net.run_round`` trains, accounts its steps under
+    phase and, unless store is None, checkpoints. Returns (state, steps)."""
+    plan, steps = net.plan, 0
+    epochs = net.budget.epochs_for(plan.total_slices_in_shard(k))
+    hyper_k = stream_hyper(net.hyper, net.seed_domain, k)
+    for chunk in range(l, plan.chunks_in_shard(k) + 1):
+        for q in range(j if chunk == l else 1, plan.slices_in_chunk(k, chunk) + 1):
+            state, n = net.run_round(state, k, chunk, q, epochs, hyper_k, store, ledger, phase)
+            steps += n
+    return state, steps
+
+
+def retrain(net, k: int, store: CheckpointStore | None, ledger: CostLedger,
+            phase: str) -> ModelState:
+    """Model k of net from its seeded initial state (checkpointed unless
+    store is None) through every round."""
+    state = init_model(net.arch, mix_seed(net.seed, net.seed_domain, k))
+    if store is not None:
+        key = CheckpointKey(net.role, k, 0, 0)
+        store.save(key, state_record(key, state))
+    return replay(net, state, k, 1, 1, store, ledger, phase)[0]
+
+
+def revert_and_replay(net, k: int, l: int, j: int, store: CheckpointStore,
+                      ledger: CostLedger, phase: str):
+    """Replay model k of net from the checkpoint saved just before round
+    (l, j). Returns (state, steps, the checkpoint as ``key@generation``)."""
+    key = revert_key(net.role, net.plan, k, l, j)
+    record = store.load(key)
+    state, steps = replay(net, record_state(record), k, l, j, store, ledger, phase)
+    return state, steps, f"{key}@{record.generation}"
 
 
 def encode_record(record: CheckpointRecord) -> bytes:

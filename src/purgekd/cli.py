@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -272,7 +273,7 @@ def cmd_unlearn(args) -> int:
                 _, report = apply_request(system, request)
             except NotFoundError as exc:
                 raise DataError(f"request {request.request_id}: {exc}") from None
-            doc = report.to_json()
+            doc = asdict(report)
             if args.verify:
                 verdict = verify_exactness(before, request, system)
                 doc["verified"] = verdict.passed

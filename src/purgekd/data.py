@@ -3,11 +3,12 @@
 Partition coordinates are 1-based throughout: shard k in 1..N, chunk l in
 1..c_k, slice j in 1..R_{k,l}.
 
-A plan resolves its point ids to dataset rows once, when it is built, and
-keeps per shard the row indices in plan order plus the chunk and slice
-boundaries. Every training round reads a prefix of its shard, so it gathers
-by row index alone; point ids appear only at the API boundary (locate,
-remove, the id listings and raw_slices).
+A Dataset is the only id -> row index (``rows_for``). A plan is laid out
+over dataset rows and keeps per shard its rows in plan order plus the chunk
+and slice boundaries. Every training round reads a prefix of its shard, so
+it gathers by row index alone; point ids appear only at the API boundary
+(locate and remove resolve them through the dataset; the id listings and
+raw_slices read them off it).
 """
 
 from __future__ import annotations
@@ -41,39 +42,11 @@ class SyntheticSpec:
             raise ValueError("class_center_spread and within_class_stddev must be positive")
 
 
-class IdIndex:
-    """Vectorized id -> position lookups over an array of unique ids."""
-
-    def __init__(self, ids: np.ndarray):
-        self._order = np.argsort(ids, kind="stable")
-        self._sorted = ids[self._order]
-        if (self._sorted[1:] == self._sorted[:-1]).any():
-            raise ValueError("point ids must be unique")
-
-    def _find(self, want: np.ndarray):
-        """Positions into the sorted ids, and which of `want` are present."""
-        if not len(self._sorted):
-            return np.zeros(want.shape, dtype=np.intp), np.zeros(want.shape, dtype=bool)
-        at = np.minimum(np.searchsorted(self._sorted, want), len(self._sorted) - 1)
-        return at, self._sorted[at] == want
-
-    def __contains__(self, point_id) -> bool:
-        return bool(self._find(np.int64(int(point_id)))[1])
-
-    def positions(self, point_ids) -> np.ndarray:
-        """Positions of the given ids in the indexed array, in the given order."""
-        want = np.asarray(point_ids, dtype=np.int64)
-        at, found = self._find(want)
-        if not found.all():
-            raise NotFoundError(f"unknown point id {int(want[~found][0])}")
-        return self._order[at]
-
-
 class Dataset:
     """Ordered classification points with stable integer ids.
 
     Ids are never reused; removing a point from a partition does not free its
-    id for new points.
+    id for new points. ``rows_for`` is the package's one id -> row index.
     """
 
     def __init__(self, ids, features, labels, num_classes):
@@ -89,7 +62,10 @@ class Dataset:
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= num_classes):
             raise ValueError("labels must lie in [0, num_classes)")
         self.num_classes = int(num_classes)
-        self._index = IdIndex(self.ids)
+        self._order = np.argsort(self.ids, kind="stable")
+        self._sorted = self.ids[self._order]
+        if (self._sorted[1:] == self._sorted[:-1]).any():
+            raise ValueError("point ids must be unique")
 
     @property
     def feature_dim(self) -> int:
@@ -98,11 +74,24 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def _find(self, want: np.ndarray):
+        """Positions into the sorted ids, and which of `want` are present."""
+        if not len(self._sorted):
+            return np.zeros(want.shape, dtype=np.intp), np.zeros(want.shape, dtype=bool)
+        at = np.minimum(np.searchsorted(self._sorted, want), len(self._sorted) - 1)
+        return at, self._sorted[at] == want
+
     def __contains__(self, point_id) -> bool:
-        return point_id in self._index
+        pid = int(point_id)  # an id beyond int64 is simply absent
+        return -2**63 <= pid < 2**63 and bool(self._find(np.int64(pid))[1])
 
     def rows_for(self, point_ids) -> np.ndarray:
-        return self._index.positions(point_ids)
+        """Rows of the given ids, in the given order."""
+        want = np.asarray(point_ids, dtype=np.int64)
+        at, found = self._find(want)
+        if not found.all():
+            raise NotFoundError(f"unknown point id {int(want[~found][0])}")
+        return self._order[at]
 
     def features_for(self, point_ids) -> np.ndarray:
         return self.features[self.rows_for(point_ids)]
@@ -185,47 +174,49 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class PartitionPlan:
-    """Shard -> chunk -> slice hierarchy over the points of one dataset.
+    """Shard -> chunk -> slice hierarchy over the rows of one dataset.
 
     Built by make_partition: shards, chunks and slices take consecutive runs
-    of a seeded uniform permutation ``order``, sized by even_split_sizes at
-    each level of ``slice_counts`` (R_{k,l} at [k-1][l-1]). Afterwards
-    mutated only by remove (single writer), which keeps the survivors' order
-    and the shape, so a plan is fixed by its seed, shape and removed ids.
+    of a seeded uniform permutation of the dataset's rows, sized by
+    even_split_sizes at each level of ``slice_counts`` (R_{k,l} at
+    [k-1][l-1]). Afterwards mutated only by remove (single writer), which
+    keeps the survivors' order and the shape, so a plan is fixed by its
+    seed, shape and removed ids.
 
-    Per shard k the plan keeps the point ids and their dataset rows, both in
-    plan order, and per chunk l the boundaries (start, end of slice 1, ...,
-    end of slice R) into those arrays. Round (l, j) of shard k trains on
-    chunks 1..l-1 and slices 1..j of chunk l: the prefix
-    ``shard_rows(k)[:chunk_bounds(k, l)[j]]``. The arrays are read-only;
-    remove replaces a shard's arrays, so copies share them safely.
+    Per shard k the plan keeps its dataset rows in plan order, and per chunk
+    l the boundaries (start, end of slice 1, ..., end of slice R) into them.
+    Round (l, j) of shard k trains on chunks 1..l-1 and slices 1..j of chunk
+    l: the prefix ``shard_rows(k)[:chunk_bounds(k, l)[j]]``. A table gives
+    each dataset row's (k, l, j), zeros once removed; ids are read off the
+    dataset and resolved by ``Dataset.rows_for``. The shard arrays are
+    read-only; remove replaces one, so copies share them safely.
     """
 
-    def __init__(self, order: np.ndarray, slice_counts, seed, dataset: Dataset):
+    def __init__(self, rows: np.ndarray, slice_counts, seed, dataset: Dataset):
         self.seed = seed
-        rows = dataset.rows_for(order)  # one lookup resolves the whole plan
-        self._ids, self._rows, self._bounds, self._loc = [], [], [], {}
+        self.dataset = dataset
+        self._rows, self._bounds = [], []
+        self._where = np.zeros((len(dataset), 3), dtype=np.int32)
         start = 0
         for k, (size, counts) in enumerate(
-                zip(even_split_sizes(len(order), len(slice_counts)), slice_counts), start=1):
-            ids = order[start:start + size]
+                zip(even_split_sizes(len(rows), len(slice_counts)), slice_counts), start=1):
+            shard = rows[start:start + size]
             bounds, end = [], 0
             for l, (chunk_size, r) in enumerate(
                     zip(even_split_sizes(size, len(counts)), counts), start=1):
                 chunk_bounds = [end]
                 for j, width in enumerate(even_split_sizes(chunk_size, r), start=1):
-                    self._loc.update(dict.fromkeys(ids[end:end + width].tolist(), (k, l, j)))
+                    self._where[shard[end:end + width]] = (k, l, j)
                     end += width
                     chunk_bounds.append(end)
                 bounds.append(tuple(chunk_bounds))
-            self._ids.append(_frozen(ids))
-            self._rows.append(_frozen(rows[start:start + size]))
+            self._rows.append(_frozen(shard))
             self._bounds.append(bounds)
             start += size
 
     @property
     def num_shards(self) -> int:
-        return len(self._ids)
+        return len(self._rows)
 
     def chunks_in_shard(self, k: int) -> int:
         return len(self._bounds[k - 1])
@@ -237,16 +228,12 @@ class PartitionPlan:
         return sum(len(b) - 1 for b in self._bounds[k - 1])
 
     def chunk_bounds(self, k: int, l: int) -> tuple[int, ...]:
-        """Offsets of chunk (k, l) into shard k's arrays: its start, then the
+        """Offsets of chunk (k, l) into shard k's rows: its start, then the
         end of each of its slices."""
         return self._bounds[k - 1][l - 1]
 
     def shard_ids(self, k: int) -> list[int]:
-        return self._ids[k - 1].tolist()
-
-    def shard_id_array(self, k: int) -> np.ndarray:
-        """Read-only point ids of shard k, in plan order."""
-        return self._ids[k - 1]
+        return self.dataset.ids[self._rows[k - 1]].tolist()
 
     def shard_rows(self, k: int) -> np.ndarray:
         """Read-only dataset rows of shard k, in plan order."""
@@ -254,64 +241,68 @@ class PartitionPlan:
 
     def slice_ids(self, k: int, l: int, j: int) -> list[int]:
         b = self._bounds[k - 1][l - 1]
-        return self._ids[k - 1][b[j - 1]:b[j]].tolist()
+        return self.dataset.ids[self._rows[k - 1][b[j - 1]:b[j]]].tolist()
 
     def chunk_ids(self, k: int, l: int) -> list[int]:
         b = self._bounds[k - 1][l - 1]
-        return self._ids[k - 1][b[0]:b[-1]].tolist()
+        return self.dataset.ids[self._rows[k - 1][b[0]:b[-1]]].tolist()
 
     def all_ids(self) -> list[int]:
-        return np.concatenate(self._ids).tolist()
+        return self.dataset.ids[np.concatenate(self._rows)].tolist()
+
+    def _row(self, point_id) -> int | None:
+        """Dataset row of a point the plan holds, else None."""
+        row = int(self.dataset.rows_for([point_id])[0]) if point_id in self.dataset else -1
+        return row if row >= 0 and self._where[row, 0] else None
 
     def __contains__(self, point_id) -> bool:
-        return int(point_id) in self._loc
-
-    def __len__(self) -> int:
-        return len(self._loc)
+        return self._row(point_id) is not None
 
     def locate(self, point_id) -> tuple[int, int, int]:
-        try:
-            return self._loc[int(point_id)]
-        except KeyError:
-            raise NotFoundError(f"point {point_id} is not in the partition") from None
+        row = self._row(point_id)
+        if row is None:
+            raise NotFoundError(f"point {point_id} is not in the partition")
+        k, l, j = self._where[row].tolist()
+        return k, l, j
 
     def remove(self, point_id) -> None:
         """Drop one point; the survivors keep their order and rows."""
         k, l, j = self.locate(point_id)
-        ids = self._ids[k - 1]
+        row, rows = self._row(point_id), self._rows[k - 1]
         b = self._bounds[k - 1][l - 1]
-        pos = b[j - 1] + int(np.flatnonzero(ids[b[j - 1]:b[j]] == int(point_id))[0])
-        self._ids[k - 1] = _frozen(np.delete(ids, pos))
-        self._rows[k - 1] = _frozen(np.delete(self._rows[k - 1], pos))
+        pos = b[j - 1] + int(np.flatnonzero(rows[b[j - 1]:b[j]] == row)[0])
+        self._rows[k - 1] = _frozen(np.delete(rows, pos))
         self._bounds[k - 1] = [tuple(o - (o > pos) for o in chunk)
                                for chunk in self._bounds[k - 1]]
-        del self._loc[int(point_id)]
+        self._where[row] = 0
 
     def copy(self) -> "PartitionPlan":
-        """Independent copy: shares the read-only shard arrays, copies the
-        per-shard lists and the location index."""
+        """Independent copy: shares the read-only shard arrays and the
+        dataset, copies the per-shard lists and the location table."""
         dup = copy.copy(self)
-        dup._ids, dup._rows, dup._bounds = list(self._ids), list(self._rows), list(self._bounds)
-        dup._loc = dict(self._loc)
+        dup._rows, dup._bounds = list(self._rows), list(self._bounds)
+        dup._where = self._where.copy()
         return dup
 
     def slice_counts(self) -> list[list[int]]:
         """R_{k,l} per shard and chunk: the plan's shape, which removals keep."""
         return [[len(b) - 1 for b in bounds] for bounds in self._bounds]
 
-    def removed_ids(self, dataset: Dataset) -> list[int]:
-        """Sorted ids of dataset, the plan's own, that the plan no longer holds."""
-        return np.sort(np.delete(dataset.ids, np.concatenate(self._rows))).tolist()
+    def removed_ids(self) -> list[int]:
+        """Sorted ids of the plan's dataset that the plan no longer holds."""
+        return np.sort(np.delete(self.dataset.ids, np.concatenate(self._rows))).tolist()
 
     def raw_slices(self):
         """Nested id lists (copy): slice (k, l, j) at [k-1][l-1][j-1]."""
-        return [[[ids[b[j - 1]:b[j]].tolist() for j in range(1, len(b))] for b in bounds]
-                for ids, bounds in zip(self._ids, self._bounds)]
+        ids = self.dataset.ids
+        return [[[ids[rows[b[j - 1]:b[j]]].tolist() for j in range(1, len(b))]
+                 for b in bounds]
+                for rows, bounds in zip(self._rows, self._bounds)]
 
 
 def make_partition(dataset: Dataset, num_shards: int, chunks_per_shard,
                    slices_per_chunk, seed: int) -> PartitionPlan:
-    """Seeded uniform random split of the dataset ids into shards, chunks and slices.
+    """Seeded uniform random split of the dataset into shards, chunks and slices.
 
     chunks_per_shard gives c_k per shard; slices_per_chunk gives R_{k,l} per
     chunk, as a nested sequence aligned with chunks_per_shard. A plain int
@@ -329,5 +320,5 @@ def make_partition(dataset: Dataset, num_shards: int, chunks_per_shard,
         if len(slices_per_chunk[k]) != chunks_per_shard[k]:
             raise PartitionError(f"shard {k + 1}: need one slice count per chunk")
 
-    return PartitionPlan(np.random.default_rng(seed).permutation(dataset.ids),
+    return PartitionPlan(np.random.default_rng(seed).permutation(len(dataset)),
                          slices_per_chunk, seed, dataset)

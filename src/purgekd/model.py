@@ -38,7 +38,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import IdIndex
 from .errors import DimensionError
 
 ARCH_KINDS = ("softmax_linear", "one_hidden_layer")
@@ -184,39 +183,10 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     return out
 
 
-def _check_distribution(vec, name: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be a vector")
-    if (v < 0).any() or abs(float(v.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"{name} is not a probability distribution")
-    return v
-
-
-def distill_loss(prediction, soft_label, hard_label: int,
-                 hard_label_weight: float = 0.0) -> float:
-    """Cross-entropy against a blend of the soft target and the one-hot hard target.
-
-    Equals (1 - a) * CE(soft || p) + a * CE(onehot || p); probabilities are
-    clamped below at LOSS_CLAMP inside the log.
-    """
-    p = _check_distribution(prediction, "prediction")
-    s = _check_distribution(soft_label, "soft_label")
-    a = hard_label_weight
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("hard_label_weight must lie in [0, 1]")
-    if len(p) != len(s):
-        raise DimensionError("prediction and soft_label lengths differ")
-    if not 0 <= hard_label < len(p):
-        raise ValueError(f"hard_label {hard_label} out of range")
-    target = (1.0 - a) * s
-    target[hard_label] += a
-    return float(-(target * np.log(np.maximum(p, LOSS_CLAMP))).sum())
-
-
 def mean_distill_loss(state: ModelState, features, soft_labels, hard_labels,
                       hard_label_weight: float = 0.0) -> float:
-    """Mean distill_loss over a batch (vectorized)."""
+    """Mean over the batch of each row's cross-entropy -sum(t * log p), t the
+    blend (1 - a) * soft + a * onehot(hard), p clamped below at LOSS_CLAMP."""
     p = predict_batch(state, features)
     a = hard_label_weight
     targets = (1.0 - a) * np.asarray(soft_labels, dtype=np.float64)
@@ -399,7 +369,6 @@ class SoftLabelChunk:
                 raise ValueError("soft labels must be non-negative")
             if np.abs(self.probs.sum(axis=1) - 1.0).max() > 1e-9:
                 raise ValueError("soft labels must sum to 1 within 1e-9")
-        self._index = IdIndex(self.ids)
 
     @property
     def point_ids(self) -> tuple[int, ...]:
@@ -409,17 +378,13 @@ class SoftLabelChunk:
         return len(self.ids)
 
     def __contains__(self, point_id) -> bool:
-        return point_id in self._index
-
-    def probs_for(self, point_ids) -> np.ndarray:
-        return self.probs[self._index.positions(point_ids)]
+        return bool((self.ids == int(point_id)).any())
 
     def without(self, point_id) -> "SoftLabelChunk":
         """Copy with one entry dropped; the remaining rows keep their order and bits."""
-        pid = int(point_id)
-        if pid not in self:
-            raise KeyError(f"point {pid} has no soft label in this chunk")
-        keep = self.ids != pid
+        keep = self.ids != int(point_id)
+        if keep.all():
+            raise KeyError(f"point {int(point_id)} has no soft label in this chunk")
         return SoftLabelChunk(self.ids[keep], self.probs[keep])
 
 

@@ -5,21 +5,24 @@ Each constituent k owns shard k, split into chunks. Chunk l is soft-labeled
 by the subensemble of the first l teachers mapped to k; chunks are further
 sliced, and the constituent trains on its cumulative data (all earlier
 chunks plus slices 1..j of the current chunk) for the per-slice epoch
-budget, checkpointing after every round. One loop, ``replay_constituent``,
-runs the rounds from any (l, j) on: from (1, 1) for initial training and
-verification (which keeps no checkpoint), from the reverted round for
-unlearning. Two baseline labeling modes share this path: naive_sisa labels
+budget, checkpointing after every round. The network is the student role of
+the lifecycle in ``checkpoints``: its ``run_round`` is ``run_student_round``
+on its cached soft labels; ``checkpoints.retrain`` runs initial training
+and verification, ``checkpoints.revert_and_replay`` unlearning. Two
+baseline labeling modes share this path: naive_sisa labels
 every chunk with the full ensemble, single_teacher chunk l with teacher l.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import model
-from .checkpoints import CheckpointKey, CheckpointStore, record_state, state_record
+from .checkpoints import (CheckpointKey, CheckpointStore, record_state, retrain,
+                          state_record)
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan, even_split_sizes, make_partition
 from .errors import NotFoundError, PartitionError
@@ -116,6 +119,8 @@ class StudentNetwork:
     arch: ModelArch
     hyper: TrainHyper
     seed: int
+    role: ClassVar[str] = "student"
+    seed_domain: ClassVar[int] = SEED_STUDENT
 
     @property
     def provenance(self) -> dict:
@@ -125,13 +130,19 @@ class StudentNetwork:
                 for k in range(1, self.mapping.num_students + 1)
                 for l in range(1, self.mapping.chunk_count(k) + 1)}
 
+    def run_round(self, state, k, l, j, epochs, hyper_k, store, ledger, phase):
+        """Round (l, j) of constituent k for ``checkpoints.replay``, on the
+        cached soft labels."""
+        return run_student_round(state, k, l, j, self.plan, self.dataset,
+                                 self.soft_labels, None, epochs, hyper_k, None,
+                                 store, ledger, phase)
+
 
 def _chunk_probs(soft_labels: dict, plan: PartitionPlan, k: int, l: int) -> np.ndarray:
     """Soft-label rows of chunk (k, l), refused unless they follow the
     chunk's plan order, since rounds slice them by position."""
-    chunk = soft_labels[(k, l)]
-    bounds = plan.chunk_bounds(k, l)
-    if not np.array_equal(chunk.ids, plan.shard_id_array(k)[bounds[0]:bounds[-1]]):
+    chunk, b = soft_labels[(k, l)], plan.chunk_bounds(k, l)
+    if not np.array_equal(chunk.ids, plan.dataset.ids[plan.shard_rows(k)[b[0]:b[-1]]]):
         raise ValueError(f"soft labels of chunk {k},{l} do not follow the plan's order")
     return chunk.probs
 
@@ -173,38 +184,16 @@ def run_student_round(state: ModelState, k: int, l: int, j: int,
     return state, steps
 
 
-def replay_constituent(state: ModelState, k: int, l: int, j: int,
-                       plan: PartitionPlan, dataset: Dataset, soft_labels: dict,
-                       budget: TrainBudget, hyper: TrainHyper,
-                       store: CheckpointStore | None, ledger: CostLedger,
-                       phase: str):
-    """Run constituent k's rounds from (l, j) to its last round, starting
-    from state, the state before round (l, j), on the given soft labels.
-    Returns (state, steps)."""
-    epochs = budget.epochs_for(plan.total_slices_in_shard(k))
-    hyper_k = model.stream_hyper(hyper, SEED_STUDENT, k)
-    steps = 0
-    for chunk in range(l, plan.chunks_in_shard(k) + 1):
-        first = j if chunk == l else 1
-        for q in range(first, plan.slices_in_chunk(k, chunk) + 1):
-            state, n = run_student_round(state, k, chunk, q, plan, dataset,
-                                         soft_labels, None, epochs, hyper_k,
-                                         None, store, ledger, phase)
-            steps += n
-    return state, steps
-
-
 def generate_chunk_labels(mode: str, mapping: ConstituentMapping,
                           teacher_members, plan: PartitionPlan, dataset: Dataset,
                           k: int, l: int, temperature: float) -> SoftLabelChunk:
     """Soft labels for chunk (k, l) under the given labeling mode, in the
     chunk's plan order."""
     bounds = plan.chunk_bounds(k, l)
-    span = slice(bounds[0], bounds[-1])
+    rows = plan.shard_rows(k)[bounds[0]:bounds[-1]]
     return subensemble_soft_labels(
         [teacher_members[m - 1] for m in chunk_teacher_ids(mode, mapping, k, l)],
-        plan.shard_id_array(k)[span], dataset.features[plan.shard_rows(k)[span]],
-        temperature)
+        dataset.ids[rows], dataset.features[rows], temperature)
 
 
 def student_structure(dataset: Dataset, slice_counts, seed: int, removed,
@@ -230,7 +219,7 @@ def train_student_network(dataset: Dataset, mapping: ConstituentMapping,
                           ledger: CostLedger, mode: str, seed: int,
                           slices_per_chunk) -> StudentNetwork:
     """Build the structure (student_structure), then train every
-    constituent: checkpoint its initial state and replay every round.
+    constituent from scratch (checkpoints.retrain).
     slices_per_chunk is a single int r or one row of R_{k,l} per shard, one
     count per chunk of the mapping."""
     chunk_counts = [len(ms) for ms in mapping.assignment]
@@ -242,16 +231,11 @@ def train_student_network(dataset: Dataset, mapping: ConstituentMapping,
     plan, _, soft_labels = student_structure(
         dataset, slices_per_chunk, mix_seed(seed, SEED_STUDENT_PLAN), (),
         teacher_members, mode, hyper.temperature)
-    states = []
-    for k in range(1, mapping.num_students + 1):
-        state = model.init_model(arch, mix_seed(seed, SEED_STUDENT, k))
-        key = CheckpointKey("student", k, 0, 0)
-        store.save(key, state_record(key, state))
-        states.append(replay_constituent(state, k, 1, 1, plan, dataset,
-                                         soft_labels, budget, hyper, store,
-                                         ledger, "initial_train")[0])
-    return StudentNetwork(states, mapping, plan, dataset, mode, soft_labels,
-                          budget, arch, hyper, seed)
+    network = StudentNetwork([], mapping, plan, dataset, mode, soft_labels,
+                             budget, arch, hyper, seed)
+    network.constituents = [retrain(network, k, store, ledger, "initial_train")
+                            for k in range(1, mapping.num_students + 1)]
+    return network
 
 
 def evaluate_accuracy(states, dataset: Dataset) -> float:

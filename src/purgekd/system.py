@@ -107,6 +107,13 @@ def _digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write path via a temporary file and os.replace: a crash keeps the old file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
 def _save_dataset(ds: Dataset, directory: Path) -> dict:
     """Write ds once into directory, named by its digest; returns its
     manifest entry."""
@@ -118,9 +125,7 @@ def _save_dataset(ds: Dataset, directory: Path) -> dict:
     name = f"dataset-{digest}.bin"
     path = directory / name
     if not path.exists():
-        tmp = path.with_name(name + ".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        _write_atomic(path, data)
     return {"file": name, "digest": digest, "num_classes": ds.num_classes}
 
 
@@ -149,13 +154,14 @@ def _role_entry(net, dataset_entry: dict) -> dict:
     return {"arch": asdict(net.arch), "hyper": asdict(net.hyper),
             "kernel": kernel_fingerprint(net.arch, net.hyper.batch_size),
             "plan": {"seed": net.plan.seed, "slices": net.plan.slice_counts(),
-                     "removed": net.plan.removed_ids(net.dataset)},
+                     "removed": net.plan.removed_ids()},
             "dataset": dataset_entry}
 
 
 def save_manifest(system: TrainedSystem, path, checkpoint_dir: str) -> None:
-    """Write the system's manifest, plus any dataset file not yet beside it.
-    checkpoint_dir is recorded relative to the manifest's directory."""
+    """Write the system's manifest, plus any dataset file not yet beside it,
+    each atomically. checkpoint_dir is recorded relative to the manifest's
+    directory."""
     path = Path(path)
     s, t = system.student, system.teacher
     student_dataset = _save_dataset(s.dataset, path.parent)
@@ -172,8 +178,8 @@ def save_manifest(system: TrainedSystem, path, checkpoint_dir: str) -> None:
         "student": dict(_role_entry(s, student_dataset), mode=s.mode,
                         constituents=len(s.constituents)),
     }
-    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
-                    encoding="utf-8")
+    _write_atomic(path, (json.dumps(doc, sort_keys=True, separators=(",", ":"))
+                         + "\n").encode("utf-8"))
 
 
 def load_system(path) -> TrainedSystem:

@@ -3,20 +3,21 @@ checkpoints after every slice, and exact unlearning by checkpoint reversion
 and replay.
 
 Each member m trains only on shard m: one chunk, R_T slices, cumulative
-slices 1..j for the per-slice epoch budget each round. One loop,
-``replay_member``, runs the rounds from any j on: from 1 for initial
-training and verification (which keeps no checkpoint), from the reverted
-round for unlearning.
+slices 1..j for the per-slice epoch budget each round. The ensemble is the
+teacher role of the lifecycle in ``checkpoints``: it supplies ``run_round``;
+``checkpoints.retrain`` runs initial training and verification,
+``checkpoints.revert_and_replay`` unlearning.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import model
-from .checkpoints import (CheckpointKey, CheckpointStore, record_state,
-                          revert_key, state_record)
+from .checkpoints import (CheckpointKey, CheckpointStore, retrain,
+                          revert_and_replay, state_record)
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan, make_partition
 from .model import (SEED_TEACHER, SEED_TEACHER_PLAN, ModelArch, ModelState,
@@ -49,54 +50,25 @@ class TeacherEnsemble:
     arch: ModelArch
     hyper: TrainHyper
     seed: int
+    role: ClassVar[str] = "teacher"
+    seed_domain: ClassVar[int] = SEED_TEACHER
 
     @property
     def member_count(self) -> int:
         return len(self.members)
 
-
-def _gather_round(plan: PartitionPlan, dataset: Dataset, m: int, j: int):
-    """Training arrays (x, hard) for round j of member m: slices 1..j, a
-    prefix of shard m in plan order, read by row index."""
-    rows = plan.shard_rows(m)[:plan.chunk_bounds(m, 1)[j]]
-    return dataset.features[rows], dataset.labels[rows]
-
-
-def replay_member(state: ModelState, m: int, j: int, plan: PartitionPlan,
-                  dataset: Dataset, budget: TrainBudget, hyper: TrainHyper,
-                  store: CheckpointStore | None, ledger: CostLedger,
-                  phase: str):
-    """Run member m's slice rounds j..R_T from state, the state before round
-    j: train on cumulative slices 1..q, account the steps and, unless store
-    is None, checkpoint after each round q. Returns (state, steps)."""
-    r_t = plan.slices_in_chunk(m, 1)
-    epochs = budget.epochs_for(r_t)
-    member_hyper = model.stream_hyper(hyper, SEED_TEACHER, m)
-    steps = 0
-    for q in range(j, r_t + 1):
-        x, hard = _gather_round(plan, dataset, m, q)
-        state = model.train(state, x, one_hot(hard, dataset.num_classes), hard,
-                            epochs, member_hyper)
-        n = len(x) * epochs
-        ledger.add(phase, "teacher", m, n)
-        steps += n
+    def run_round(self, state, m, l, j, epochs, hyper_m, store, ledger, phase):
+        """Round (1, j) of member m: slices 1..j, a prefix of shard m read by
+        row index, against one-hot targets."""
+        rows = self.plan.shard_rows(m)[:self.plan.chunk_bounds(m, l)[j]]
+        hard = self.dataset.labels[rows]
+        state = model.train(state, self.dataset.features[rows],
+                            one_hot(hard, self.dataset.num_classes), hard, epochs, hyper_m)
+        ledger.add(phase, self.role, m, len(rows) * epochs)
         if store is not None:
-            key = CheckpointKey("teacher", m, 1, q)
+            key = CheckpointKey(self.role, m, l, j)
             store.save(key, state_record(key, state))
-    return state, steps
-
-
-def train_teacher_member(m: int, plan: PartitionPlan, dataset: Dataset,
-                         budget: TrainBudget, arch: ModelArch, hyper: TrainHyper,
-                         store: CheckpointStore, ledger: CostLedger,
-                         seed: int) -> ModelState:
-    """Train member m from scratch: checkpoint its initial state, then
-    replay every round."""
-    state = model.init_model(arch, mix_seed(seed, SEED_TEACHER, m))
-    key = CheckpointKey("teacher", m, 0, 0)
-    store.save(key, state_record(key, state))
-    return replay_member(state, m, 1, plan, dataset, budget, hyper, store,
-                         ledger, "initial_train")[0]
+        return state, len(rows) * epochs
 
 
 def partition_members(dataset: Dataset, slice_counts, seed: int,
@@ -118,10 +90,10 @@ def train_teacher_ensemble(dataset: Dataset, members: int, slices_per_member: in
     independently on its own shard."""
     plan = partition_members(dataset, [[slices_per_member]] * members,
                              mix_seed(seed, SEED_TEACHER_PLAN), ())
-    states = [train_teacher_member(m, plan, dataset, budget, arch, hyper,
-                                   store, ledger, seed)
-              for m in range(1, members + 1)]
-    return TeacherEnsemble(states, plan, dataset, budget, arch, hyper, seed)
+    ensemble = TeacherEnsemble([], plan, dataset, budget, arch, hyper, seed)
+    ensemble.members = [retrain(ensemble, m, store, ledger, "initial_train")
+                        for m in range(1, members + 1)]
+    return ensemble
 
 
 def teacher_unlearn(ensemble: TeacherEnsemble, point_id, store: CheckpointStore,
@@ -135,9 +107,6 @@ def teacher_unlearn(ensemble: TeacherEnsemble, point_id, store: CheckpointStore,
     """
     m, _, j = ensemble.plan.locate(point_id)
     ensemble.plan.remove(point_id)
-    key = revert_key("teacher", ensemble.plan, m, 1, j)
-    record = store.load(key)
-    ensemble.members[m - 1], steps = replay_member(
-        record_state(record), m, j, ensemble.plan, ensemble.dataset,
-        ensemble.budget, ensemble.hyper, store, ledger, "teacher_retrain")
-    return steps, f"{key}@{record.generation}"
+    ensemble.members[m - 1], steps, reverted = revert_and_replay(
+        ensemble, m, 1, j, store, ledger, "teacher_retrain")
+    return steps, reverted

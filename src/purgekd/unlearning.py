@@ -11,26 +11,25 @@ partition and cached labels, regenerates soft labels only for the chunks
 whose labeling subensemble contains the updated member, and replays each
 affected constituent once from its planned start. Labels of earlier chunks
 are byte-unchanged because their subensembles never contained the updated
-member. Each role replays through its one round loop from
-``checkpoints.revert_key``. ``verify_exactness`` takes the models it checks
-from the same plan and retrains each through that loop from a fresh initial
-state, writing no checkpoint.
+member. Both roles revert and replay through the one checkpointed lifecycle
+(``checkpoints.revert_and_replay``). ``verify_exactness`` takes the models
+it checks from the same plan and retrains each from scratch through the
+same lifecycle (``checkpoints.retrain``), writing no checkpoint.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checkpoints import record_state, revert_key
+from .checkpoints import retrain, revert_and_replay
 from .costmodel import CostLedger
 from .errors import ConfigError, NotFoundError, ParseError
-from .model import SEED_STUDENT, SEED_TEACHER, init_model, mix_seed
-from .student import generate_chunk_labels, replay_constituent
-from .teacher import replay_member, teacher_unlearn
+from .student import generate_chunk_labels
+from .teacher import teacher_unlearn
 
 REQUEST_KINDS = ("student_point", "teacher_point", "simultaneous")
 GENERATOR_KINDS = ("student_point", "teacher_point", "simultaneous",
@@ -61,21 +60,6 @@ class UnlearnReport:
     student_steps: int = 0
     relabel_inference: int = 0
     wall_time: float = 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "request_id": self.request_id,
-            "kind": self.kind,
-            "point_id": self.point_id,
-            "affected_teacher_members": list(self.affected_teacher_members),
-            "affected_student_constituents": list(self.affected_student_constituents),
-            "reverted_to": list(self.reverted_to),
-            "chunks_relabeled": [list(c) for c in self.chunks_relabeled],
-            "teacher_steps": self.teacher_steps,
-            "student_steps": self.student_steps,
-            "relabel_inference": self.relabel_inference,
-            "wall_time": self.wall_time,
-        }
 
 
 def plan_removal(system, request: UnlearnRequest):
@@ -151,14 +135,10 @@ def apply_request(system, request: UnlearnRequest):
             system.ledger.add("relabel_inference", "student", k, count)
         report.chunks_relabeled = tuple(relabeled)
     for k in sorted(starts):
-        key = revert_key("student", net.plan, k, *starts[k])
-        record = system.store.load(key)
-        net.constituents[k - 1], steps = replay_constituent(
-            record_state(record), k, *starts[k], net.plan, net.dataset,
-            net.soft_labels, net.budget, net.hyper, system.store,
-            system.ledger, "student_retrain")
+        net.constituents[k - 1], steps, rev = revert_and_replay(
+            net, k, *starts[k], system.store, system.ledger, "student_retrain")
         report.student_steps += steps
-        reverted.append(f"{key}@{record.generation}")
+        reverted.append(rev)
     report.reverted_to = tuple(reverted)
     report.wall_time = time.perf_counter() - t0
     return system, report
@@ -210,19 +190,16 @@ def verify_exactness(system_before, request: UnlearnRequest,
             failures.append(f"{name}: scratch retrain differs by {diffs[-1]}")
 
     for m in t_ms:
-        compare(f"teacher {m}", replay_member(
-            init_model(t.arch, mix_seed(t.seed, SEED_TEACHER, m)), m, 1, t.plan,
-            t.dataset, t.budget, t.hyper, None, CostLedger(), "initial_train")[0],
-            t.members[m - 1])
+        compare(f"teacher {m}", retrain(t, m, None, CostLedger(), "initial_train"),
+                t.members[m - 1])
     for k in s_ks:
         soft = {(k, l): generate_chunk_labels(net.mode, net.mapping, t.members,
                                               net.plan, net.dataset, k, l,
                                               net.hyper.temperature)
                 for l in range(1, net.plan.chunks_in_shard(k) + 1)}
-        compare(f"constituent {k}", replay_constituent(
-            init_model(net.arch, mix_seed(net.seed, SEED_STUDENT, k)), k, 1, 1,
-            net.plan, net.dataset, soft, net.budget, net.hyper, None,
-            CostLedger(), "initial_train")[0], net.constituents[k - 1])
+        compare(f"constituent {k}", retrain(replace(net, soft_labels=soft), k, None,
+                                            CostLedger(), "initial_train"),
+                net.constituents[k - 1])
         for (_, l), chunk in soft.items():
             cached = net.soft_labels[(k, l)]
             if (not np.array_equal(chunk.ids, cached.ids)
@@ -299,17 +276,18 @@ def _candidate_pools(system, kinds) -> dict:
             pools[("teacher_point", m)] = teacher.shard_ids(m)
     if not any(k.startswith("simultaneous") for k in kinds):
         return pools
-    shared = [p for p in student.all_ids() if p in teacher]
+    in_teacher = set(teacher.all_ids())
+    shared = [p for p in student.all_ids() if p in in_teacher]
     if "simultaneous" in kinds:
         pools["simultaneous"] = list(shared)
     if {"simultaneous_aligned", "simultaneous_misaligned"} & set(kinds):
-        owner = {m: (k, l)
-                 for k, ms in enumerate(system.student.mapping.assignment, start=1)
-                 for l, m in enumerate(ms, start=1)}
-        aligned = {p: owner[teacher.locate(p)[0]] == student.locate(p)[:2]
-                   for p in shared}
-        pools["simultaneous_aligned"] = [p for p in shared if aligned[p]]
-        pools["simultaneous_misaligned"] = [p for p in shared if not aligned[p]]
+        # aligned: in teacher shard m and in the student chunk m labels first
+        aligned = set()
+        for m in range(1, teacher.num_shards + 1):
+            aligned |= set(teacher.shard_ids(m)).intersection(
+                student.chunk_ids(*system.student.mapping.owner_of(m)))
+        pools["simultaneous_aligned"] = [p for p in shared if p in aligned]
+        pools["simultaneous_misaligned"] = [p for p in shared if p not in aligned]
     return pools
 
 
@@ -340,10 +318,8 @@ def generate_requests(system, count: int, mix: dict, seed: int) -> list[UnlearnR
             raise ConfigError(f"no untargeted points left for kind {kind!r}")
         pid = int(pool[int(rng.integers(0, len(pool)))])
         for ids in pools.values():
-            try:
+            if pid in ids:
                 ids.remove(pid)
-            except ValueError:
-                pass
         stream_kind = kind if kind in REQUEST_KINDS else "simultaneous"
         requests.append(UnlearnRequest(seq, stream_kind, pid))
     return requests

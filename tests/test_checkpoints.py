@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from purgekd import (CheckpointKey, CheckpointRecord, CheckpointStore,
-                     ModelArch, NotFoundError, StorageError, init_model,
-                     make_partition)
-from purgekd.checkpoints import (decode_record, encode_record, revert_key,
-                                 state_record)
+                     CostLedger, ModelArch, NotFoundError, StorageError,
+                     init_model, make_partition)
+from purgekd.checkpoints import (decode_record, encode_record, retrain,
+                                 revert_and_replay, revert_key, state_record)
 
 
 FRAME_HEAD = 8  # payload length and CRC-32 before every record
@@ -72,6 +72,37 @@ class TestRevertKey:
             for before, (l, j) in zip(rounds, rounds[1:]):
                 assert revert_key("student", plan, k, l, j) == \
                     CheckpointKey("student", k, *before)
+
+
+class TestLifecycle:
+    @pytest.mark.parametrize("role", ["teacher", "student"])
+    def test_revert_and_replay_from_every_round_equals_retrain(self, small_system,
+                                                               role):
+        """Both roles run one lifecycle: reverting model k to before any of
+        its rounds and replaying gives the state a scratch retrain gives,
+        and a retrain without a store saves nothing."""
+        net, store = getattr(small_system, role), small_system.store
+        log = store.root / "store.log"
+        for k in range(1, net.plan.num_shards + 1):
+            size, count = log.stat().st_size, store.storage_report().total_count
+            ledger = CostLedger()
+            scratch = retrain(net, k, None, ledger, "initial_train")
+            assert (log.stat().st_size, store.storage_report().total_count) == \
+                (size, count)
+            held = (net.members if role == "teacher" else net.constituents)[k - 1]
+            assert scratch.params.tobytes() == held.params.tobytes()
+            rounds = [(l, j) for l in range(1, net.plan.chunks_in_shard(k) + 1)
+                      for j in range(1, net.plan.slices_in_chunk(k, l) + 1)]
+            round_steps = [e.steps for e in ledger.entries]
+            assert len(round_steps) == len(rounds)
+            for n, (l, j) in enumerate(rounds):
+                state, steps, reverted = revert_and_replay(
+                    net, k, l, j, store, CostLedger(), f"{role}_retrain")
+                key = revert_key(role, net.plan, k, l, j)
+                assert reverted == f"{key}@{store.latest_generation(key)}"
+                assert steps == sum(round_steps[n:])
+                assert state.params.tobytes() == scratch.params.tobytes()
+                assert state.rng_cursor == scratch.rng_cursor
 
 
 class TestBinaryRoundTrip:

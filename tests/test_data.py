@@ -74,6 +74,7 @@ class TestDatasetAccessors:
         assert 0 in small_dataset
         assert 239 in small_dataset
         assert 240 not in small_dataset
+        assert 2**70 not in small_dataset
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -161,8 +162,10 @@ class TestPartitionPlan:
 
     def test_locate_unknown_point(self, small_dataset):
         plan = make_partition(small_dataset, 2, 1, 1, seed=0)
-        with pytest.raises(NotFoundError):
-            plan.locate(99_999)
+        for unknown in (99_999, 2**70):
+            assert unknown not in plan
+            with pytest.raises(NotFoundError):
+                plan.locate(unknown)
 
     def test_remove_preserves_order_of_survivors(self, small_dataset):
         plan = make_partition(small_dataset, 2, 2, 2, seed=4)
@@ -212,7 +215,6 @@ class TestPartitionPlan:
         for k in range(1, 4):
             np.testing.assert_array_equal(plan.shard_rows(k),
                                           small_dataset.rows_for(plan.shard_ids(k)))
-            assert plan.shard_id_array(k).tolist() == plan.shard_ids(k)
             offset = 0
             for l in range(1, 3):
                 bounds = plan.chunk_bounds(k, l)
@@ -231,6 +233,35 @@ class TestPartitionPlan:
         assert dup.shard_ids(1)[0] == victim
         assert dup.shard_rows(1)[0] == small_dataset.rows_for([victim])[0]
         assert dup.chunk_bounds(1, 2) == tuple(b + 1 for b in plan.chunk_bounds(1, 2))
+
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    @pytest.mark.parametrize("shape", [[[1]] * 4, [[2, 2]] * 3, [[2, 1], [1, 1, 2]],
+                                       [[3, 1, 2], [2], [1, 4]]])
+    def test_layout_equals_a_permutation_of_the_ids(self, seed, shape):
+        """A plan laid out over a permutation of the rows equals one cut from
+        the same seed's permutation of the ids, on gapped, unsorted ids. The
+        two agree only because numpy's shuffle moves positions whatever the
+        values; this test fails if that ever changes."""
+        n = 103
+        ids = 7 + 10 * np.random.default_rng(seed + 1).permutation(n)
+        ds = Dataset(ids, np.zeros((n, 2)), np.zeros(n, dtype=int), 2)
+        plan = make_partition(ds, len(shape), [len(row) for row in shape], shape, seed)
+        order = np.random.default_rng(seed).permutation(ids).tolist()
+        reference, start = [], 0
+        for size, counts in zip(even_split_sizes(n, len(shape)), shape):
+            shard, start, chunks, end = order[start:start + size], start + size, [], 0
+            for chunk_size, r in zip(even_split_sizes(size, len(counts)), counts):
+                slices = []
+                for width in even_split_sizes(chunk_size, r):
+                    slices.append(shard[end:end + width])
+                    end += width
+                chunks.append(slices)
+            reference.append(chunks)
+        assert plan.raw_slices() == reference
+        for k, chunks in enumerate(reference, start=1):
+            for l, slices in enumerate(chunks, start=1):
+                for j, members in enumerate(slices, start=1):
+                    assert all(plan.locate(p) == (k, l, j) for p in members)
 
     def test_too_small_dataset_rejected(self, small_dataset):
         with pytest.raises(PartitionError):

@@ -1,16 +1,19 @@
 """Round gathering by row index equals an id-based gather, bit for bit.
 
 Every training round reads a prefix of its shard through the plan's row
-index. The reference here rebuilds each round from point ids instead, with
-its own copy of the partition kept as nested id lists, and looks the ids up
-with Dataset.rows_for and SoftLabelChunk.probs_for.
+index. The test captures what each round hands to ``model.train`` while
+every teacher member and constituent retrains (``checkpoints.retrain``, no
+store). The reference rebuilds each round from point ids instead, with its
+own copy of the partition kept as nested id lists: it looks the ids up with
+Dataset.rows_for, and each soft label up by its point id in its chunk.
 """
 
 import numpy as np
 import pytest
 
-from purgekd import SoftLabelChunk, UnlearnRequest, apply_request
-from purgekd import student, teacher
+from purgekd import CostLedger, SoftLabelChunk, UnlearnRequest, apply_request
+from purgekd import model, one_hot, student
+from purgekd.checkpoints import retrain
 
 
 def _student_reference(slices, dataset, soft_labels, k, l, j):
@@ -18,16 +21,32 @@ def _student_reference(slices, dataset, soft_labels, k, l, j):
     earlier = [[p for sl in chunks[i - 1] for p in sl] for i in range(1, l)]
     partial = [p for sl in chunks[l - 1][:j] for p in sl]
     ids = [p for chunk in earlier for p in chunk] + partial
-    soft = np.vstack([soft_labels[(k, i)].probs_for(chunk)
-                      for i, chunk in enumerate(earlier, start=1)]
-                     + [soft_labels[(k, l)].probs_for(partial)])
+    by_id = {p: row for i in range(1, l + 1)
+             for p, row in zip(soft_labels[(k, i)].point_ids, soft_labels[(k, i)].probs)}
     rows = dataset.rows_for(ids)
-    return dataset.features[rows], soft, dataset.labels[rows]
+    return dataset.features[rows], np.vstack([by_id[p] for p in ids]), dataset.labels[rows]
 
 
 def _teacher_reference(slices, dataset, m, j):
     rows = dataset.rows_for([p for sl in slices[m - 1][0][:j] for p in sl])
-    return dataset.features[rows], dataset.labels[rows]
+    hard = dataset.labels[rows]
+    return dataset.features[rows], one_hot(hard, dataset.num_classes), hard
+
+
+def _trained_on(monkeypatch, net, k):
+    """(features, soft, hard) that model.train receives in each round of
+    model k of net, in round order, while k retrains from scratch."""
+    calls = []
+    train = model.train
+
+    def spy(state, features, soft_labels, hard_labels, epochs, hyper):
+        calls.append((features, soft_labels, hard_labels))
+        return train(state, features, soft_labels, hard_labels, epochs, hyper)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "train", spy)
+        retrain(net, k, None, CostLedger(), "initial_train")
+    return calls
 
 
 def _same_bits(got, want):
@@ -37,25 +56,29 @@ def _same_bits(got, want):
         assert a.tobytes() == b.tobytes()
 
 
-def _check_every_round(system, student_slices, teacher_slices):
+def _check_every_round(monkeypatch, system, student_slices, teacher_slices):
     """Compare every round of every constituent and teacher member."""
     net, ens = system.student, system.teacher
     assert net.plan.raw_slices() == student_slices
     assert ens.plan.raw_slices() == teacher_slices
     rounds = 0
     for k in range(1, net.plan.num_shards + 1):
-        for l in range(1, net.plan.chunks_in_shard(k) + 1):
-            for j in range(1, net.plan.slices_in_chunk(k, l) + 1):
-                _same_bits(student._gather_round(net.plan, net.dataset,
-                                                 net.soft_labels, k, l, j),
-                           _student_reference(student_slices, net.dataset,
-                                              net.soft_labels, k, l, j))
-                rounds += 1
+        want = [_student_reference(student_slices, net.dataset, net.soft_labels, k, l, j)
+                for l in range(1, net.plan.chunks_in_shard(k) + 1)
+                for j in range(1, net.plan.slices_in_chunk(k, l) + 1)]
+        got = _trained_on(monkeypatch, net, k)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_bits(g, w)
+        rounds += len(got)
     for m in range(1, ens.plan.num_shards + 1):
-        for j in range(1, ens.plan.slices_in_chunk(m, 1) + 1):
-            _same_bits(teacher._gather_round(ens.plan, ens.dataset, m, j),
-                       _teacher_reference(teacher_slices, ens.dataset, m, j))
-            rounds += 1
+        want = [_teacher_reference(teacher_slices, ens.dataset, m, j)
+                for j in range(1, ens.plan.slices_in_chunk(m, 1) + 1)]
+        got = _trained_on(monkeypatch, ens, m)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_bits(g, w)
+        rounds += len(got)
     return rounds
 
 
@@ -77,12 +100,13 @@ def _drop(slices, pid):
 
 
 class TestRoundGather:
-    def test_fresh_system(self, fine_system):
-        rounds = _check_every_round(fine_system, fine_system.student.plan.raw_slices(),
+    def test_fresh_system(self, fine_system, monkeypatch):
+        rounds = _check_every_round(monkeypatch, fine_system,
+                                    fine_system.student.plan.raw_slices(),
                                     fine_system.teacher.plan.raw_slices())
         assert rounds == 2 * 2 * 30 + 4 * 2
 
-    def test_after_removals(self, fine_system):
+    def test_after_removals(self, fine_system, monkeypatch):
         system = fine_system
         s_ref = system.student.plan.raw_slices()
         t_ref = system.teacher.plan.raw_slices()
@@ -104,7 +128,7 @@ class TestRoundGather:
             else:
                 _drop(t_ref, pid)
                 assert report.chunks_relabeled
-            _check_every_round(system, s_ref, t_ref)
+            _check_every_round(monkeypatch, system, s_ref, t_ref)
         assert system.student.plan.slice_ids(1, 1, 3) == []
 
 

@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from purgekd import (DimensionError, ModelArch, SoftLabelChunk, TrainHyper,
-                     aggregate_batch, distill_loss, init_model,
-                     mean_distill_loss, mix_seed, one_hot, predict_batch,
-                     subensemble_soft_labels, train)
+from purgekd import (DimensionError, ModelArch, ModelState, SoftLabelChunk,
+                     TrainHyper, aggregate_batch, init_model, mean_distill_loss,
+                     mix_seed, one_hot, predict_batch, subensemble_soft_labels,
+                     train)
 from purgekd.model import _gradient, _layers
 
 
@@ -219,6 +219,17 @@ class TestRowIndependence:
                 np.delete(full, dropped, axis=0))
 
 
+def _one_row_loss(p, soft, hard_label, hard_label_weight=0.0):
+    """mean_distill_loss of a one-row batch whose prediction is p: a linear
+    model over one zero feature, with log(p) as its bias."""
+    with np.errstate(divide="ignore"):
+        bias = np.maximum(np.log(p), -1e4)
+    state = ModelState(ModelArch("softmax_linear", 1, len(p)),
+                       np.concatenate([np.zeros(len(p)), bias]))
+    np.testing.assert_allclose(predict_batch(state, [[0.0]])[0], p, rtol=1e-15)
+    return mean_distill_loss(state, [[0.0]], [soft], [hard_label], hard_label_weight)
+
+
 class TestDistillLoss:
     def test_cross_entropy_oracle(self):
         """Pure soft-target loss is -sum(t * log p); hand-computed case."""
@@ -226,14 +237,14 @@ class TestDistillLoss:
         t = np.array([0.5, 0.25, 0.25])
         expected = -(0.5 * math.log(0.7) + 0.25 * math.log(0.2)
                      + 0.25 * math.log(0.1))
-        assert distill_loss(p, t, hard_label=0) == pytest.approx(expected,
-                                                                 rel=1e-12)
+        assert _one_row_loss(p, t, hard_label=0) == pytest.approx(expected,
+                                                                  rel=1e-12)
 
     def test_hard_label_blend(self):
         """Weight a mixes one-hot mass into the soft target."""
         p = np.array([0.6, 0.4])
         s = np.array([0.5, 0.5])
-        blended = distill_loss(p, s, hard_label=1, hard_label_weight=0.3)
+        blended = _one_row_loss(p, s, hard_label=1, hard_label_weight=0.3)
         t = 0.7 * s + 0.3 * np.array([0.0, 1.0])
         expected = -(t[0] * math.log(0.6) + t[1] * math.log(0.4))
         assert blended == pytest.approx(expected, rel=1e-12)
@@ -241,21 +252,25 @@ class TestDistillLoss:
     def test_clamp_keeps_loss_finite(self):
         p = np.array([1.0, 0.0])
         t = np.array([0.0, 1.0])
-        loss = distill_loss(p, t, hard_label=1)
-        assert math.isfinite(loss)
+        loss = _one_row_loss(p, t, hard_label=1)
+        assert loss == pytest.approx(-math.log(1e-12), rel=1e-12)
 
     def test_mean_matches_loop(self):
+        """The batch mean equals the mean of one-row batches, and of the
+        textbook per-row cross-entropy against the blended target."""
         rng = np.random.default_rng(21)
         arch = ModelArch("softmax_linear", 5, 4)
         state = init_model(arch, seed=8)
         x = rng.normal(size=(30, 5))
         soft = rng.dirichlet(np.ones(4), size=30)
         hard = rng.integers(0, 4, size=30)
-        probs = predict_batch(state, x)
-        looped = np.mean([distill_loss(p, s, h, 0.25)
-                          for p, s, h in zip(probs, soft, hard)])
-        assert mean_distill_loss(state, x, soft, hard, 0.25) == \
-            pytest.approx(looped, rel=1e-12)
+        rows = np.mean([mean_distill_loss(state, x[i:i + 1], soft[i:i + 1],
+                                          hard[i:i + 1], 0.25) for i in range(30)])
+        textbook = np.mean([-(0.75 * s + 0.25 * np.eye(4)[h]) @ np.log(p)
+                            for p, s, h in zip(predict_batch(state, x), soft, hard)])
+        batch = mean_distill_loss(state, x, soft, hard, 0.25)
+        assert batch == pytest.approx(rows, rel=1e-12)
+        assert batch == pytest.approx(textbook, rel=1e-12)
 
 
 class TestGradients:
@@ -541,12 +556,10 @@ class TestExactMean:
 
 
 class TestSoftLabelChunk:
-    def test_lookup_and_membership(self):
+    def test_membership(self):
         rng = np.random.default_rng(41)
         probs = rng.dirichlet(np.ones(3), size=5)
         chunk = SoftLabelChunk(point_ids=(10, 11, 12, 13, 14), probs=probs)
-        np.testing.assert_array_equal(chunk.probs_for([12, 10]),
-                                      probs[[2, 0]])
         assert 13 in chunk
         assert 99 not in chunk
         assert len(chunk) == 5

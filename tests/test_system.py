@@ -1,6 +1,7 @@
 """System assembly: whole-pipeline wiring, manifests, and snapshots."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +207,31 @@ class TestManifest:
         doc = json.loads((tmp_path / "system.json").read_text())
         assert doc["student"]["dataset"]["file"] == dataset.name
         assert "soft_labels" not in doc["student"]
+
+    def test_failed_write_keeps_the_previous_manifest(self, small_system, tmp_path,
+                                                      monkeypatch):
+        """A save that dies halfway through its write leaves the previous
+        manifest whole and loadable; a retried save then goes through."""
+        path = tmp_path / "system.json"
+        save_manifest(small_system, path, "ckpt")
+        before = small_system.student.plan.raw_slices()
+        victim = small_system.student.plan.slice_ids(1, 1, 1)[0]
+        apply_request(small_system, UnlearnRequest(1, "student_point", victim))
+
+        def torn(self, data, *args, **kwargs):
+            data = data.encode() if isinstance(data, str) else data
+            with open(self, "wb") as fh:
+                fh.write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", torn)
+            patch.setattr(Path, "write_bytes", torn)
+            with pytest.raises(OSError):
+                save_manifest(small_system, path, "ckpt")
+        assert load_system(path).student.plan.raw_slices() == before
+        save_manifest(small_system, path, "ckpt")
+        assert victim not in load_system(path).student.plan
 
     def test_reload_after_mixed_stream_is_bit_exact(self, streamed_system, tmp_path):
         """Plans rebuilt from seed, shape and removed ids, and soft labels

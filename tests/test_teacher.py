@@ -6,7 +6,7 @@ import pytest
 from purgekd import (CheckpointKey, CheckpointStore, CostLedger, ModelArch,
                      NotFoundError, TrainBudget, TrainHyper, aggregate_batch,
                      predict_batch, teacher_unlearn, train_teacher_ensemble)
-from purgekd.checkpoints import record_state
+from purgekd.checkpoints import record_state, retrain
 
 
 def _build(dataset, store, members=4, slices=2, e_prime=8, seed=11):
@@ -123,12 +123,8 @@ class TestUnlearning:
         assert reverted == "teacher:2:1:1@1"
 
         # scratch oracle: retrain member 2 on the post-removal plan
-        from purgekd.teacher import train_teacher_member
-        scratch_store = CheckpointStore(tmp_path / "scratch")
-        scratch = train_teacher_member(
-            2, ensemble.plan, small_dataset, ensemble.budget,
-            ensemble.members[0].arch, ensemble.hyper, scratch_store,
-            CostLedger(), ensemble.seed)
+        scratch = retrain(ensemble, 2, CheckpointStore(tmp_path / "scratch"),
+                          CostLedger(), "initial_train")
         np.testing.assert_array_equal(ensemble.members[1].params,
                                       scratch.params)
 
@@ -175,12 +171,8 @@ class TestUnlearning:
         for v in victims:
             teacher_unlearn(ensemble, v, store, ledger)
 
-        from purgekd.teacher import train_teacher_member
-        scratch = train_teacher_member(
-            1, ensemble.plan, small_dataset, ensemble.budget,
-            ensemble.members[0].arch, ensemble.hyper,
-            CheckpointStore(tmp_path / "scratch"), CostLedger(),
-            ensemble.seed)
+        scratch = retrain(ensemble, 1, CheckpointStore(tmp_path / "scratch"),
+                          CostLedger(), "initial_train")
         np.testing.assert_array_equal(ensemble.members[0].params,
                                       scratch.params)
 
