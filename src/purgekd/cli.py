@@ -17,6 +17,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
+from .checkpoints import CheckpointStore
 from .costmodel import (read_ledger_csv, simulate_teacher_requests, speedup_vs_n,
                         write_ledger_csv)
 from .data import SyntheticSpec, gen_synthetic, load_csv
@@ -75,7 +76,7 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
     return cfg
 
 
-def _field(cfg: dict, path: str, kind, default=..., required_msg=None):
+def _field(cfg: dict, path: str, kind, default=...):
     node = cfg
     parts = path.split(".")
     for part in parts[:-1]:
@@ -85,7 +86,7 @@ def _field(cfg: dict, path: str, kind, default=..., required_msg=None):
     value = node.get(parts[-1]) if isinstance(node, dict) else None
     if value is None:
         if default is ...:
-            raise ConfigError(required_msg or f"{path}: required field missing")
+            raise ConfigError(f"{path}: required field missing")
         return default
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
@@ -189,21 +190,14 @@ def cmd_train(args) -> int:
     mapping_sizes = cfg.get("mapping_sizes")
     if mapping_sizes is not None and not _counts(mapping_sizes):
         raise ConfigError("mapping_sizes: expected a list of integers >= 1")
-    if isinstance(slices_cfg, list):
-        try:
-            mapping = build_mapping(members, constituents, mapping_sizes)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        chunks = [len(ms) for ms in mapping.assignment]
-        if [len(row) for row in slices_cfg] != chunks:
-            raise ConfigError(
-                f"student.slices_per_chunk: expected one list per constituent with "
-                f"one count per chunk, of lengths {chunks}; got lengths "
-                f"{[len(row) for row in slices_cfg]}")
-
-    from .checkpoints import CheckpointStore
-    store = CheckpointStore(out / "checkpoints")
     try:
+        if isinstance(slices_cfg, list):
+            chunks = list(build_mapping(members, constituents, mapping_sizes).chunk_counts)
+            if [len(row) for row in slices_cfg] != chunks:
+                raise ConfigError(
+                    f"student.slices_per_chunk: expected one list per constituent with "
+                    f"one count per chunk, of lengths {chunks}; got lengths "
+                    f"{[len(row) for row in slices_cfg]}")
         system = train_system(
             student_dataset=student_dataset, teacher_dataset=teacher_dataset,
             teacher_members=members,
@@ -218,7 +212,8 @@ def cmd_train(args) -> int:
                                            student_dataset.num_classes),
             teacher_hyper=_hyper_from_config(cfg, "teacher.hyper", seed),
             student_hyper=_hyper_from_config(cfg, "student.hyper", seed),
-            store=store, seed=seed, mapping_sizes=mapping_sizes)
+            store=CheckpointStore(out / "checkpoints"), seed=seed,
+            mapping_sizes=mapping_sizes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -1,7 +1,8 @@
 """Datasets, hierarchical shard/chunk/slice partitioning, and flat-file ingestion.
 
 Partition coordinates are 1-based throughout: shard k in 1..N, chunk l in
-1..c_k, slice j in 1..R_{k,l}.
+1..c_k, slice j in 1..R_{k,l}. A plan's shape is the nested R_{k,l}, at
+[k-1][l-1]; make_partition draws it from a seed and drops removed ids.
 
 A Dataset is the only id -> row index (``rows_for``). A plan is laid out
 over dataset rows and keeps per shard its rows in plan order plus the chunk
@@ -87,7 +88,10 @@ class Dataset:
 
     def rows_for(self, point_ids) -> np.ndarray:
         """Rows of the given ids, in the given order."""
-        want = np.asarray(point_ids, dtype=np.int64)
+        try:
+            want = np.asarray(point_ids, dtype=np.int64)
+        except OverflowError:  # an id beyond int64 is simply absent
+            raise NotFoundError("unknown point id beyond the int64 range") from None
         at, found = self._find(want)
         if not found.all():
             raise NotFoundError(f"unknown point id {int(want[~found][0])}")
@@ -252,8 +256,11 @@ class PartitionPlan:
 
     def _row(self, point_id) -> int | None:
         """Dataset row of a point the plan holds, else None."""
-        row = int(self.dataset.rows_for([point_id])[0]) if point_id in self.dataset else -1
-        return row if row >= 0 and self._where[row, 0] else None
+        try:
+            row = int(self.dataset.rows_for([point_id])[0])
+        except NotFoundError:
+            return None
+        return row if self._where[row, 0] else None
 
     def __contains__(self, point_id) -> bool:
         return self._row(point_id) is not None
@@ -300,25 +307,13 @@ class PartitionPlan:
                 for rows, bounds in zip(self._rows, self._bounds)]
 
 
-def make_partition(dataset: Dataset, num_shards: int, chunks_per_shard,
-                   slices_per_chunk, seed: int) -> PartitionPlan:
-    """Seeded uniform random split of the dataset into shards, chunks and slices.
-
-    chunks_per_shard gives c_k per shard; slices_per_chunk gives R_{k,l} per
-    chunk, as a nested sequence aligned with chunks_per_shard. A plain int
-    for either broadcasts to every shard (and every chunk).
-    """
-    if isinstance(chunks_per_shard, int):
-        chunks_per_shard = [chunks_per_shard] * num_shards
-    if isinstance(slices_per_chunk, int):
-        slices_per_chunk = [[slices_per_chunk] * c for c in chunks_per_shard]
-    if len(chunks_per_shard) != num_shards:
-        raise PartitionError("chunks_per_shard must list one count per shard")
-    if len(slices_per_chunk) != num_shards:
-        raise PartitionError("slices_per_chunk must list one sequence per shard")
-    for k in range(num_shards):  # counts below 1 fail in even_split_sizes
-        if len(slices_per_chunk[k]) != chunks_per_shard[k]:
-            raise PartitionError(f"shard {k + 1}: need one slice count per chunk")
-
-    return PartitionPlan(np.random.default_rng(seed).permutation(len(dataset)),
-                         slices_per_chunk, seed, dataset)
+def make_partition(dataset: Dataset, slice_counts, seed: int,
+                   removed=()) -> PartitionPlan:
+    """Seeded uniform random split of the dataset into shards, chunks and
+    slices of the nested shape slice_counts (R_{k,l} at [k-1][l-1]), minus
+    the removed ids. A count below 1 fails in even_split_sizes."""
+    plan = PartitionPlan(np.random.default_rng(seed).permutation(len(dataset)),
+                         slice_counts, seed, dataset)
+    for point_id in removed:
+        plan.remove(point_id)
+    return plan

@@ -1,15 +1,16 @@
 """Distilled student network trained incrementally against a growing teacher
 subensemble.
 
-Each constituent k owns shard k, split into chunks. Chunk l is soft-labeled
-by the subensemble of the first l teachers mapped to k; chunks are further
-sliced, and the constituent trains on its cumulative data (all earlier
-chunks plus slices 1..j of the current chunk) for the per-slice epoch
-budget, checkpointing after every round. The network is the student role of
-the lifecycle in ``checkpoints``: its ``run_round`` is ``run_student_round``
-on its cached soft labels; ``checkpoints.retrain`` runs initial training
-and verification, ``checkpoints.revert_and_replay`` unlearning. Two
-baseline labeling modes share this path: naive_sisa labels
+Each constituent k owns shard k, split into c_k chunks, and is mapped to the
+next c_k teachers, one per chunk; the mapping is read off the plan's shape.
+Chunk l is soft-labeled by the subensemble of the first l teachers mapped to
+k; chunks are further sliced, and the constituent trains on its cumulative
+data (all earlier chunks plus slices 1..j of the current chunk) for the
+per-slice epoch budget, checkpointing after every round. The network is the
+student role of the lifecycle in ``checkpoints``: its ``run_round`` is
+``run_student_round`` on its cached soft labels; ``checkpoints.retrain``
+runs initial training and verification, ``checkpoints.revert_and_replay``
+unlearning. Two baseline labeling modes share this path: naive_sisa labels
 every chunk with the full ensemble, single_teacher chunk l with teacher l.
 """
 
@@ -25,7 +26,7 @@ from .checkpoints import (CheckpointKey, CheckpointStore, record_state, retrain,
                           state_record)
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan, even_split_sizes, make_partition
-from .errors import NotFoundError, PartitionError
+from .errors import NotFoundError
 from .model import (SEED_STUDENT, SEED_STUDENT_PLAN, ModelArch, ModelState,
                     SoftLabelChunk, TrainHyper, mix_seed, subensemble_soft_labels)
 from .teacher import TrainBudget
@@ -35,31 +36,29 @@ MODES = ("purge", "naive_sisa", "single_teacher")
 
 @dataclass(frozen=True)
 class ConstituentMapping:
-    """Teachers 1..M to constituents in consecutive runs, fixed by the run
-    lengths (see build_mapping)."""
+    """Teachers 1..M to constituents in consecutive runs: constituent k takes
+    the next chunk_counts[k-1] teachers, one per chunk of its shard."""
 
-    assignment: tuple[tuple[int, ...], ...]
+    chunk_counts: tuple[int, ...]
 
-    def __post_init__(self):
-        seen = [m for ms in self.assignment for m in ms]
-        if not self.assignment or any(not ms for ms in self.assignment):
-            raise ValueError("every constituent needs at least one teacher")
-        if seen != list(range(1, len(seen) + 1)):
-            raise ValueError("assignment must list teachers 1..M in index order")
+    @property
+    def assignment(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.teachers_for(k) for k in range(1, self.num_students + 1))
 
     @property
     def num_students(self) -> int:
-        return len(self.assignment)
+        return len(self.chunk_counts)
 
     @property
     def num_teachers(self) -> int:
-        return sum(len(ms) for ms in self.assignment)
+        return sum(self.chunk_counts)
 
     def teachers_for(self, k: int) -> tuple[int, ...]:
-        return self.assignment[k - 1]
+        start = sum(self.chunk_counts[:k - 1])
+        return tuple(range(start + 1, start + self.chunk_counts[k - 1] + 1))
 
     def chunk_count(self, k: int) -> int:
-        return len(self.assignment[k - 1])
+        return self.chunk_counts[k - 1]
 
     def owner_of(self, m: int) -> tuple[int, int]:
         """(constituent k, chunk position l) of teacher member m."""
@@ -86,12 +85,7 @@ def build_mapping(num_teachers: int, num_students: int,
             raise ValueError("mapping sizes must be >= 1")
         if sum(sizes) != num_teachers:
             raise ValueError(f"mapping sizes sum to {sum(sizes)}, expected {num_teachers}")
-    assignment = []
-    next_m = 1
-    for s in sizes:
-        assignment.append(tuple(range(next_m, next_m + s)))
-        next_m += s
-    return ConstituentMapping(tuple(assignment))
+    return ConstituentMapping(tuple(sizes))
 
 
 def chunk_teacher_ids(mode: str, mapping: ConstituentMapping, k: int,
@@ -110,7 +104,6 @@ def chunk_teacher_ids(mode: str, mapping: ConstituentMapping, k: int,
 @dataclass
 class StudentNetwork:
     constituents: list[ModelState]
-    mapping: ConstituentMapping
     plan: PartitionPlan
     dataset: Dataset
     mode: str
@@ -123,12 +116,18 @@ class StudentNetwork:
     seed_domain: ClassVar[int] = SEED_STUDENT
 
     @property
+    def mapping(self) -> ConstituentMapping:
+        """Teacher runs per constituent, read off the plan's chunk counts."""
+        return ConstituentMapping(tuple(map(len, self.plan.slice_counts())))
+
+    @property
     def provenance(self) -> dict:
         """(k, l) -> teacher member ids labeling chunk l of constituent k;
         fixed by the mode and the mapping."""
-        return {(k, l): chunk_teacher_ids(self.mode, self.mapping, k, l)
-                for k in range(1, self.mapping.num_students + 1)
-                for l in range(1, self.mapping.chunk_count(k) + 1)}
+        mapping = self.mapping
+        return {(k, l): chunk_teacher_ids(self.mode, mapping, k, l)
+                for k in range(1, mapping.num_students + 1)
+                for l in range(1, mapping.chunk_count(k) + 1)}
 
     def run_round(self, state, k, l, j, epochs, hyper_k, store, ledger, phase):
         """Round (l, j) of constituent k for ``checkpoints.replay``, on the
@@ -199,42 +198,31 @@ def generate_chunk_labels(mode: str, mapping: ConstituentMapping,
 def student_structure(dataset: Dataset, slice_counts, seed: int, removed,
                       teacher_members, mode: str, temperature: float):
     """A student network's plan, drawn with seed in the shape slice_counts
-    minus the removed ids; its mapping, one teacher per chunk of each shard;
-    and every chunk's soft labels. Returns (plan, mapping, soft_labels)."""
-    chunk_counts = [len(row) for row in slice_counts]
-    plan = make_partition(dataset, len(chunk_counts), chunk_counts, slice_counts, seed)
-    for point_id in removed:
-        plan.remove(point_id)
-    mapping = build_mapping(len(teacher_members), len(chunk_counts), chunk_counts)
+    minus the removed ids, and every chunk's soft labels under the mapping
+    that shape fixes. Returns (plan, soft_labels)."""
+    plan = make_partition(dataset, slice_counts, seed, removed)
+    mapping = ConstituentMapping(tuple(map(len, slice_counts)))
     soft_labels = {(k, l): generate_chunk_labels(mode, mapping, teacher_members, plan,
                                                  dataset, k, l, temperature)
-                   for k in range(1, len(chunk_counts) + 1)
-                   for l in range(1, chunk_counts[k - 1] + 1)}
-    return plan, mapping, soft_labels
+                   for k in range(1, mapping.num_students + 1)
+                   for l in range(1, mapping.chunk_count(k) + 1)}
+    return plan, soft_labels
 
 
-def train_student_network(dataset: Dataset, mapping: ConstituentMapping,
-                          teacher_members, budget: TrainBudget, arch: ModelArch,
-                          hyper: TrainHyper, store: CheckpointStore,
-                          ledger: CostLedger, mode: str, seed: int,
-                          slices_per_chunk) -> StudentNetwork:
-    """Build the structure (student_structure), then train every
-    constituent from scratch (checkpoints.retrain).
-    slices_per_chunk is a single int r or one row of R_{k,l} per shard, one
-    count per chunk of the mapping."""
-    chunk_counts = [len(ms) for ms in mapping.assignment]
-    if isinstance(slices_per_chunk, int):
-        slices_per_chunk = [[slices_per_chunk] * c for c in chunk_counts]
-    elif [len(row) for row in slices_per_chunk] != chunk_counts:
-        raise PartitionError(f"slices_per_chunk needs one row per constituent with "
-                             f"one count per chunk, of lengths {chunk_counts}")
-    plan, _, soft_labels = student_structure(
-        dataset, slices_per_chunk, mix_seed(seed, SEED_STUDENT_PLAN), (),
+def train_student_network(dataset: Dataset, teacher_members, slice_counts,
+                          budget: TrainBudget, arch: ModelArch, hyper: TrainHyper,
+                          store: CheckpointStore, ledger: CostLedger, mode: str,
+                          seed: int) -> StudentNetwork:
+    """Build the structure in the nested shape slice_counts, whose row k
+    holds R_{k,l} for each chunk of constituent k (student_structure), then
+    train every constituent from scratch (checkpoints.retrain)."""
+    plan, soft_labels = student_structure(
+        dataset, slice_counts, mix_seed(seed, SEED_STUDENT_PLAN), (),
         teacher_members, mode, hyper.temperature)
-    network = StudentNetwork([], mapping, plan, dataset, mode, soft_labels,
+    network = StudentNetwork([], plan, dataset, mode, soft_labels,
                              budget, arch, hyper, seed)
     network.constituents = [retrain(network, k, store, ledger, "initial_train")
-                            for k in range(1, mapping.num_students + 1)]
+                            for k in range(1, plan.num_shards + 1)]
     return network
 
 

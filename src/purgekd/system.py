@@ -4,13 +4,14 @@ step ledger, plus lossless manifest save/load.
 A manifest (sorted JSON, floats via repr) holds structure only: seeds,
 architectures, hyperparameters, the checkpoint directory, each dataset's
 file name and digest, and each role's plan as its seed, its shape and the
-sorted ids it no longer holds. Model states live in the checkpoint store. A
-dataset is one file beside the manifest (three ``.npy`` arrays: ids,
-labels, features), named by its blake2b digest and written only when
-absent, so a removal never rewrites it. A load builds each role through the
-constructors training uses; label inference is row-independent, so derived
-soft labels equal the cached ones bit for bit. Reruns write byte-identical
-files.
+sorted ids it no longer holds; the student plan's shape also fixes the
+constituent mapping. Model states live in the checkpoint store. A dataset
+is one file beside the manifest (three ``.npy`` arrays: ids, labels,
+features), named by its blake2b digest and written only when absent, so a
+removal never rewrites it. A load builds each role through the
+constructors training uses (``make_partition``, ``student_structure``);
+label inference is row-independent, so derived soft labels equal the
+cached ones bit for bit. Reruns write byte-identical files.
 
 Each role also records ``model.kernel_fingerprint`` of its architecture and
 batch size. Replay reproduces a checkpoint only on the numeric kernels that
@@ -31,13 +32,12 @@ import numpy as np
 
 from .checkpoints import CheckpointKey, CheckpointStore, record_state
 from .costmodel import CostLedger
-from .data import Dataset, PartitionPlan
+from .data import Dataset, PartitionPlan, make_partition
 from .errors import ConfigError, NotFoundError, ParseError, PartitionError, StorageError
 from .model import ModelArch, TrainHyper, kernel_fingerprint
-from .student import (StudentNetwork, build_mapping, student_structure,
+from .student import (MODES, StudentNetwork, build_mapping, student_structure,
                       train_student_network)
-from .teacher import (TeacherEnsemble, TrainBudget, partition_members,
-                      train_teacher_ensemble)
+from .teacher import TeacherEnsemble, TrainBudget, train_teacher_ensemble
 
 MANIFEST_KIND = "system_manifest"
 MANIFEST_VERSION = 4
@@ -62,7 +62,17 @@ def train_system(*, student_dataset: Dataset, teacher_dataset: Dataset | None,
                  store: CheckpointStore, seed: int,
                  mapping_sizes=None) -> TrainedSystem:
     """Train the full pipeline: teacher ensemble first, then the distilled
-    student network against it. teacher_dataset=None shares the student data."""
+    student network against it. teacher_dataset=None shares the student data.
+    slices_per_chunk (an int, or R_{k,l} per chunk of each constituent) becomes
+    the nested shape first: a shape or mode error trains nothing."""
+    counts = build_mapping(teacher_members, student_constituents, mapping_sizes).chunk_counts
+    if isinstance(slices_per_chunk, int):
+        slices_per_chunk = [[slices_per_chunk] * c for c in counts]
+    if tuple(map(len, slices_per_chunk)) != counts:
+        raise ValueError(f"slices_per_chunk needs one row per constituent with "
+                         f"one count per chunk, of lengths {list(counts)}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     shared = teacher_dataset is None
     tds = student_dataset if shared else teacher_dataset
     if tds.num_classes != student_dataset.num_classes:
@@ -81,10 +91,9 @@ def train_system(*, student_dataset: Dataset, teacher_dataset: Dataset | None,
     teacher = train_teacher_ensemble(tds, teacher_members, teacher_slices, budget,
                                      teacher_arch, teacher_hyper, store, ledger,
                                      seed)
-    mapping = build_mapping(teacher_members, student_constituents, mapping_sizes)
-    student = train_student_network(student_dataset, mapping, teacher.members,
+    student = train_student_network(student_dataset, teacher.members, slices_per_chunk,
                                     budget, student_arch, student_hyper, store,
-                                    ledger, mode, seed, slices_per_chunk)
+                                    ledger, mode, seed)
     return TrainedSystem(seed, shared, teacher, student, store, ledger, budget)
 
 
@@ -110,8 +119,11 @@ def _digest(data: bytes) -> str:
 def _write_atomic(path: Path, data: bytes) -> None:
     """Write path via a temporary file and os.replace: a crash keeps the old file."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only by a failed write or rename
 
 
 def _save_dataset(ds: Dataset, directory: Path) -> dict:
@@ -209,9 +221,8 @@ def load_system(path) -> TrainedSystem:
 
 def _final_states(store: CheckpointStore, role: str, plan: PartitionPlan) -> list:
     """Each shard's model state after its last round, from the store."""
-    return [record_state(store.load(CheckpointKey(
-        role, k, plan.chunks_in_shard(k), plan.slices_in_chunk(k, plan.chunks_in_shard(k)))))
-        for k in range(1, plan.num_shards + 1)]
+    return [record_state(store.load(CheckpointKey(role, k, len(row), row[-1])))
+            for k, row in enumerate(plan.slice_counts(), start=1)]
 
 
 def _system_from(doc: dict, path: Path) -> TrainedSystem:
@@ -234,19 +245,20 @@ def _system_from(doc: dict, path: Path) -> TrainedSystem:
     teacher_dataset = student_dataset if shared else _load_dataset(tdoc["dataset"], root)
     store = CheckpointStore(store_root)
 
-    teacher_plan = partition_members(teacher_dataset, *_plan_args(tdoc["plan"]))
+    teacher_plan = make_partition(teacher_dataset, *_plan_args(tdoc["plan"]))
     members = _final_states(store, "teacher", teacher_plan)
     hyper = TrainHyper(**sdoc["hyper"])
-    student_plan, mapping, soft_labels = student_structure(
+    student_plan, soft_labels = student_structure(
         student_dataset, *_plan_args(sdoc["plan"]), members, sdoc["mode"],
         hyper.temperature)
-    if (tdoc["members"], sdoc["constituents"]) != (len(members), student_plan.num_shards):
-        raise ValueError("teacher.members or student.constituents differs from its plan")
     teacher = TeacherEnsemble(members, teacher_plan, teacher_dataset, budget,
                               ModelArch(**tdoc["arch"]), TrainHyper(**tdoc["hyper"]),
                               seed)
-    student = StudentNetwork(_final_states(store, "student", student_plan), mapping,
-                             student_plan, student_dataset, sdoc["mode"], soft_labels,
+    student = StudentNetwork(_final_states(store, "student", student_plan), student_plan,
+                             student_dataset, sdoc["mode"], soft_labels,
                              budget, ModelArch(**sdoc["arch"]), hyper, seed)
+    if (tdoc["members"], sdoc["constituents"], len(members)) != (
+            len(members), student_plan.num_shards, student.mapping.num_teachers):
+        raise ValueError("teacher.members, student.constituents or a plan's shape disagree")
     return TrainedSystem(seed, shared, teacher, student, store, CostLedger(),
                          budget)

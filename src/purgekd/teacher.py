@@ -3,7 +3,8 @@ checkpoints after every slice, and exact unlearning by checkpoint reversion
 and replay.
 
 Each member m trains only on shard m: one chunk, R_T slices, cumulative
-slices 1..j for the per-slice epoch budget each round. The ensemble is the
+slices 1..j for the per-slice epoch budget each round. Its plan is
+``make_partition`` of the shape [[R_T]] * M. The ensemble is the
 teacher role of the lifecycle in ``checkpoints``: it supplies ``run_round``;
 ``checkpoints.retrain`` runs initial training and verification,
 ``checkpoints.revert_and_replay`` unlearning.
@@ -71,25 +72,14 @@ class TeacherEnsemble:
         return state, len(rows) * epochs
 
 
-def partition_members(dataset: Dataset, slice_counts, seed: int,
-                      removed) -> PartitionPlan:
-    """The teacher plan: member m's shard m has one chunk of
-    slice_counts[m-1][0] slices, drawn with seed, minus the removed ids."""
-    plan = make_partition(dataset, len(slice_counts), [1] * len(slice_counts),
-                          slice_counts, seed)
-    for point_id in removed:
-        plan.remove(point_id)
-    return plan
-
-
 def train_teacher_ensemble(dataset: Dataset, members: int, slices_per_member: int,
                            budget: TrainBudget, arch: ModelArch, hyper: TrainHyper,
                            store: CheckpointStore, ledger: CostLedger,
                            seed: int) -> TeacherEnsemble:
     """Partition the dataset into one shard per member and train each member
     independently on its own shard."""
-    plan = partition_members(dataset, [[slices_per_member]] * members,
-                             mix_seed(seed, SEED_TEACHER_PLAN), ())
+    plan = make_partition(dataset, [[slices_per_member]] * members,
+                          mix_seed(seed, SEED_TEACHER_PLAN))
     ensemble = TeacherEnsemble([], plan, dataset, budget, arch, hyper, seed)
     ensemble.members = [retrain(ensemble, m, store, ledger, "initial_train")
                         for m in range(1, members + 1)]

@@ -121,12 +121,12 @@ def apply_request(system, request: UnlearnRequest):
         net.plan.remove(pid)
         net.soft_labels[(k, l)] = net.soft_labels[(k, l)].without(pid)
     if member is not None:
-        relabeled = []
+        relabeled, mapping = [], net.mapping
         for (k, l), member_ids in sorted(net.provenance.items()):
             if member not in member_ids:
                 continue
             chunk = generate_chunk_labels(
-                net.mode, net.mapping, system.teacher.members, net.plan,
+                net.mode, mapping, system.teacher.members, net.plan,
                 net.dataset, k, l, net.hyper.temperature)
             net.soft_labels[(k, l)] = chunk
             relabeled.append((k, l))
@@ -175,7 +175,7 @@ def verify_exactness(system_before, request: UnlearnRequest,
     t_ms = () if member is None else (member,)
     s_ks = tuple(sorted(starts))
     t, net = system_after.teacher, system_after.student
-    failures = []
+    mapping, failures = net.mapping, []
     for name, touched, before, after in (
             ("teacher", t_ms, system_before.teacher.members, t.members),
             ("constituent", s_ks, system_before.student.constituents, net.constituents)):
@@ -193,7 +193,7 @@ def verify_exactness(system_before, request: UnlearnRequest,
         compare(f"teacher {m}", retrain(t, m, None, CostLedger(), "initial_train"),
                 t.members[m - 1])
     for k in s_ks:
-        soft = {(k, l): generate_chunk_labels(net.mode, net.mapping, t.members,
+        soft = {(k, l): generate_chunk_labels(net.mode, mapping, t.members,
                                               net.plan, net.dataset, k, l,
                                               net.hyper.temperature)
                 for l in range(1, net.plan.chunks_in_shard(k) + 1)}
@@ -282,10 +282,10 @@ def _candidate_pools(system, kinds) -> dict:
         pools["simultaneous"] = list(shared)
     if {"simultaneous_aligned", "simultaneous_misaligned"} & set(kinds):
         # aligned: in teacher shard m and in the student chunk m labels first
-        aligned = set()
+        aligned, mapping = set(), system.student.mapping
         for m in range(1, teacher.num_shards + 1):
             aligned |= set(teacher.shard_ids(m)).intersection(
-                student.chunk_ids(*system.student.mapping.owner_of(m)))
+                student.chunk_ids(*mapping.owner_of(m)))
         pools["simultaneous_aligned"] = [p for p in shared if p in aligned]
         pools["simultaneous_misaligned"] = [p for p in shared if p not in aligned]
     return pools

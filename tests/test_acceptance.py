@@ -287,12 +287,12 @@ def parity_runs(tmp_path_factory):
             for mode in modes:
                 store = CheckpointStore(root / f"s{seed}_{n}_{mode}")
                 net = train_student_network(
-                    dataset=train_ds, mapping=build_mapping(members, n),
-                    teacher_members=teacher.members,
+                    dataset=train_ds, teacher_members=teacher.members,
+                    slice_counts=[[r] * c for c in build_mapping(members, n).chunk_counts],
                     budget=TrainBudget(e_prime), arch=student_arch,
                     hyper=TrainHyper(learning_rate=0.3, batch_size=16, seed=2),
                     store=store, ledger=CostLedger(), mode=mode,
-                    seed=10 + seed, slices_per_chunk=r)
+                    seed=10 + seed)
                 accuracy.setdefault((n, mode), []).append(
                     evaluate_accuracy(net.constituents, test_ds))
                 if n == 1 and mode in jumps:

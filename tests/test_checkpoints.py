@@ -48,7 +48,7 @@ class TestKey:
 
 class TestRevertKey:
     def test_teacher(self, small_dataset):
-        plan = make_partition(small_dataset, 4, [1] * 4, [[3]] * 4, seed=1)
+        plan = make_partition(small_dataset, [[3]] * 4, seed=1)
         assert revert_key("teacher", plan, 2, 1, 1) == CheckpointKey("teacher", 2, 0, 0)
         assert revert_key("teacher", plan, 2, 1, 3) == CheckpointKey("teacher", 2, 1, 2)
 
@@ -56,7 +56,7 @@ class TestRevertKey:
         """Mapping sizes [3, 1]: constituent 1 has chunks of 2, 1 and 3
         slices, constituent 2 one chunk of 4; the first round of a chunk
         reverts to the last slice of the chunk before it."""
-        plan = make_partition(small_dataset, 2, [3, 1], [[2, 1, 3], [4]], seed=1)
+        plan = make_partition(small_dataset, [[2, 1, 3], [4]], seed=1)
         expected = {(1, 1, 1): (0, 0), (1, 1, 2): (1, 1), (1, 2, 1): (1, 2),
                     (1, 3, 1): (2, 1), (1, 3, 3): (3, 2), (2, 1, 1): (0, 0),
                     (2, 1, 4): (1, 3)}
@@ -65,7 +65,7 @@ class TestRevertKey:
                 CheckpointKey("student", k, prev_l, prev_j)
 
     def test_every_round_reverts_to_the_round_before(self, small_dataset):
-        plan = make_partition(small_dataset, 2, [3, 1], [[2, 1, 3], [4]], seed=1)
+        plan = make_partition(small_dataset, [[2, 1, 3], [4]], seed=1)
         for k in (1, 2):
             rounds = [(0, 0)] + [(l, j) for l in range(1, plan.chunks_in_shard(k) + 1)
                                  for j in range(1, plan.slices_in_chunk(k, l) + 1)]

@@ -70,6 +70,12 @@ class TestDatasetAccessors:
             with pytest.raises(NotFoundError, match=str(missing)):
                 ds.rows_for([3, missing])
 
+    def test_rows_for_id_beyond_int64(self, small_dataset):
+        """An id no int64 holds is unknown, like any other missing id."""
+        for huge in (2**70, -2**70):
+            with pytest.raises(NotFoundError):
+                small_dataset.rows_for([3, huge])
+
     def test_contains(self, small_dataset):
         assert 0 in small_dataset
         assert 239 in small_dataset
@@ -142,8 +148,7 @@ class TestEvenSplit:
 class TestPartitionPlan:
     def test_disjoint_cover(self, small_dataset):
         """Every id lands in exactly one slice."""
-        plan = make_partition(small_dataset, num_shards=4,
-                              chunks_per_shard=2, slices_per_chunk=3, seed=5)
+        plan = make_partition(small_dataset, [[3, 3]] * 4, seed=5)
         seen = []
         for k in range(1, plan.num_shards + 1):
             for l in range(1, plan.chunks_in_shard(k) + 1):
@@ -153,22 +158,21 @@ class TestPartitionPlan:
         assert len(seen) == len(set(seen))
 
     def test_locate_matches_brute_scan(self, small_dataset):
-        plan = make_partition(small_dataset, num_shards=3,
-                              chunks_per_shard=2, slices_per_chunk=2, seed=8)
+        plan = make_partition(small_dataset, [[2, 2]] * 3, seed=8)
         rng = np.random.default_rng(2)
         for pid in rng.choice(small_dataset.ids, size=40, replace=False):
             k, l, j = plan.locate(int(pid))
             assert int(pid) in plan.slice_ids(k, l, j)
 
     def test_locate_unknown_point(self, small_dataset):
-        plan = make_partition(small_dataset, 2, 1, 1, seed=0)
+        plan = make_partition(small_dataset, [[1]] * 2, seed=0)
         for unknown in (99_999, 2**70):
             assert unknown not in plan
             with pytest.raises(NotFoundError):
                 plan.locate(unknown)
 
     def test_remove_preserves_order_of_survivors(self, small_dataset):
-        plan = make_partition(small_dataset, 2, 2, 2, seed=4)
+        plan = make_partition(small_dataset, [[2, 2]] * 2, seed=4)
         k, l, j = plan.locate(30)
         before = list(plan.slice_ids(k, l, j))
         plan.remove(30)
@@ -180,16 +184,15 @@ class TestPartitionPlan:
             plan.locate(30)
 
     def test_seed_determinism(self, small_dataset):
-        a = make_partition(small_dataset, 4, 2, 2, seed=13)
-        b = make_partition(small_dataset, 4, 2, 2, seed=13)
+        a = make_partition(small_dataset, [[2, 2]] * 4, seed=13)
+        b = make_partition(small_dataset, [[2, 2]] * 4, seed=13)
         assert a.raw_slices() == b.raw_slices()
-        c = make_partition(small_dataset, 4, 2, 2, seed=14)
+        c = make_partition(small_dataset, [[2, 2]] * 4, seed=14)
         assert a.raw_slices() != c.raw_slices()
 
     def test_nested_slice_counts(self, small_dataset):
         """Per-shard chunk structure may be ragged when given explicitly."""
-        plan = make_partition(small_dataset, 2, [2, 3], [[2, 1], [1, 1, 2]],
-                              seed=6)
+        plan = make_partition(small_dataset, [[2, 1], [1, 1, 2]], seed=6)
         assert plan.chunks_in_shard(1) == 2
         assert plan.chunks_in_shard(2) == 3
         assert plan.slices_in_chunk(1, 1) == 2
@@ -198,7 +201,7 @@ class TestPartitionPlan:
         assert plan.total_slices_in_shard(2) == 4
 
     def test_copy_is_independent(self, small_dataset):
-        plan = make_partition(small_dataset, 2, 2, 2, seed=4)
+        plan = make_partition(small_dataset, [[2, 2]] * 2, seed=4)
         dup = plan.copy()
         victim = plan.slice_ids(1, 1, 1)[0]
         plan.remove(victim)
@@ -208,7 +211,7 @@ class TestPartitionPlan:
     def test_rows_and_bounds_follow_ids_after_removals(self, small_dataset):
         """The row index and boundaries a round slices stay in step with the
         id listings as points leave the first, last and middle of chunks."""
-        plan = make_partition(small_dataset, 3, 2, 2, seed=9)
+        plan = make_partition(small_dataset, [[2, 2]] * 3, seed=9)
         for pid in (plan.chunk_ids(1, 1)[0], plan.chunk_ids(2, 2)[-1],
                     plan.slice_ids(3, 1, 2)[3]):
             plan.remove(pid)
@@ -226,7 +229,7 @@ class TestPartitionPlan:
             assert not plan.shard_rows(k).flags.writeable
 
     def test_copy_keeps_its_rows(self, small_dataset):
-        plan = make_partition(small_dataset, 2, 2, 2, seed=4)
+        plan = make_partition(small_dataset, [[2, 2]] * 2, seed=4)
         dup = plan.copy()
         victim = plan.slice_ids(1, 1, 1)[0]
         plan.remove(victim)
@@ -245,7 +248,7 @@ class TestPartitionPlan:
         n = 103
         ids = 7 + 10 * np.random.default_rng(seed + 1).permutation(n)
         ds = Dataset(ids, np.zeros((n, 2)), np.zeros(n, dtype=int), 2)
-        plan = make_partition(ds, len(shape), [len(row) for row in shape], shape, seed)
+        plan = make_partition(ds, shape, seed)
         order = np.random.default_rng(seed).permutation(ids).tolist()
         reference, start = [], 0
         for size, counts in zip(even_split_sizes(n, len(shape)), shape):
@@ -265,4 +268,4 @@ class TestPartitionPlan:
 
     def test_too_small_dataset_rejected(self, small_dataset):
         with pytest.raises(PartitionError):
-            make_partition(small_dataset, 241, 1, 1, seed=0)
+            make_partition(small_dataset, [[1]] * 241, seed=0)

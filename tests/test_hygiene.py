@@ -1,13 +1,15 @@
 """Source hygiene: every module-level import in the package is used, every
-private function, class and method is referenced somewhere in it, and every
-function parameter is read."""
+private function, class and method is referenced somewhere in it, every
+function parameter is read, and every parameter with a default is passed
+somewhere."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "purgekd"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "purgekd"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -65,6 +67,43 @@ def unused_parameters(source: str) -> list[str]:
     return out
 
 
+def _passes(call: ast.Call, index, name: str) -> bool:
+    """Whether call passes the parameter at positional index (None for
+    keyword-only) or by name; unpacked *args or **kwargs may pass anything."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or \
+            any(kw.arg in (None, name) for kw in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def unpassed_defaults(sources, callers) -> list[str]:
+    """function.parameter for each parameter with a default, defined in
+    sources, that no call in callers to a function of that name passes, by
+    position or keyword. A method's positions are counted after self or cls."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                calls.setdefault(name, []).append(node)
+    out = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            first_default = len(positional) - len(a.defaults)
+            optional = [(i - bound, p.arg) for i, p in enumerate(positional)
+                        if i >= first_default]
+            optional += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                         if d is not None]
+            out += [f"{node.name}.{name}" for index, name in optional
+                    if not any(_passes(c, index, name) for c in calls.get(node.name, []))]
+    return out
+
+
 # bench/checks.py calls run_student_round with these two positionally (see
 # tests/test_bench_contract.py), so they stay until the benchmark's next change.
 UNUSED_FOR_THE_BENCHMARK = ["run_student_round.provenance", "run_student_round.alpha"]
@@ -109,3 +148,19 @@ def test_detects_unused_parameter():
            "class K:\n    def m(self, x):\n        def inner():\n            return x\n"
            "        return inner\n")
     assert unused_parameters(src) == ["f.b", "f.rest", "f.extra"]
+
+
+def test_every_optional_parameter_is_passed():
+    """A default no caller overrides is a constant in disguise."""
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    callers = [p.read_text(encoding="utf-8") for d in ("src", "tests", "bench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unpassed_defaults(sources, callers) == []
+
+
+def test_detects_unpassed_default():
+    module = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n\n"
+              "def g(a=1):\n    pass\n\n\n"
+              "class K:\n    def m(self, x=0, y=0):\n        pass\n")
+    callers = ["f(1, 2)\nf(0, e=5)\nobj.m(7)\n", "g(*rest)\nh(d=1)\n"]
+    assert unpassed_defaults([module], callers) == ["f.c", "f.d", "m.y"]

@@ -10,7 +10,6 @@ from purgekd import (CheckpointKey, CheckpointStore, CostLedger, ModelArch,
                      evaluate_accuracy, load_system, loss_trace, predict_batch,
                      save_manifest, train_student_network,
                      train_teacher_ensemble)
-from purgekd.student import ConstituentMapping
 
 
 @pytest.fixture
@@ -28,15 +27,15 @@ def teacher_parts(small_dataset, tmp_path):
 
 def _train_student(dataset, ensemble, store, ledger, mode="purge",
                    constituents=2, slices=2, e_prime=8, seed=11):
-    mapping = build_mapping(ensemble.member_count, constituents)
+    counts = build_mapping(ensemble.member_count, constituents).chunk_counts
     return train_student_network(
-        dataset=dataset, mapping=mapping, teacher_members=ensemble.members,
+        dataset=dataset, teacher_members=ensemble.members,
+        slice_counts=[[slices] * c for c in counts],
         budget=TrainBudget(e_prime),
         arch=ModelArch("softmax_linear", dataset.feature_dim,
                        dataset.num_classes),
         hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=2),
-        store=store, ledger=ledger, mode=mode, seed=seed,
-        slices_per_chunk=slices)
+        store=store, ledger=ledger, mode=mode, seed=seed)
 
 
 class TestMapping:
@@ -65,10 +64,6 @@ class TestMapping:
             build_mapping(4, 2, sizes=[3, 2])
         with pytest.raises(ValueError):
             build_mapping(2, 4)
-        with pytest.raises(ValueError):
-            ConstituentMapping(((1, 2), (2, 3)))  # teacher 2 reused
-        with pytest.raises(ValueError):
-            ConstituentMapping(((1, 3), (2, 4)))  # not fixed by the chunk counts
 
     def test_chunk_teacher_ids_by_mode(self):
         mapping = build_mapping(6, 2)
@@ -120,12 +115,12 @@ class TestLabels:
         when the mapping gives the constituents different chunk counts."""
         ensemble, _, ledger = teacher_parts
         net = train_student_network(
-            dataset=small_dataset, mapping=build_mapping(4, 2, [3, 1]),
-            teacher_members=ensemble.members, budget=TrainBudget(8),
+            dataset=small_dataset, teacher_members=ensemble.members,
+            slice_counts=[[2, 2, 2], [2]], budget=TrainBudget(8),
             arch=ModelArch("softmax_linear", 5, 3),
             hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=2),
             store=CheckpointStore(tmp_path / "s"), ledger=ledger,
-            mode="purge", seed=11, slices_per_chunk=2)
+            mode="purge", seed=11)
         assert net.provenance == {(1, 1): (1,), (1, 2): (1, 2),
                                   (1, 3): (1, 2, 3), (2, 1): (4,)}
         assert net.provenance.keys() == net.soft_labels.keys()

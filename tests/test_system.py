@@ -1,6 +1,7 @@
 """System assembly: whole-pipeline wiring, manifests, and snapshots."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,29 @@ class TestTrainSystem:
                 teacher_hyper=TrainHyper(learning_rate=0.1, batch_size=32),
                 student_hyper=TrainHyper(learning_rate=0.1, batch_size=32),
                 store=CheckpointStore(tmp_path / "s"), seed=0)
+
+
+    @pytest.mark.parametrize("bad", [{"mapping_sizes": [3, 3]}, {"mode": "magic"},
+                                     {"slices_per_chunk": [[2, 2]]}],
+                             ids=["mapping_sizes", "mode", "slices_per_chunk"])
+    def test_bad_shape_fails_before_training(self, tmp_path, bad):
+        """The README library quickstart with a mapping that does not sum to
+        the teachers, an unknown mode or one slice row for two constituents
+        raises before any checkpoint is saved."""
+        data = gen_synthetic(SyntheticSpec(num_classes=3, points_per_class=200,
+                                           feature_dim=5, seed=7))
+        arch = ModelArch("softmax_linear", feature_dim=5, num_classes=3)
+        store = CheckpointStore(tmp_path / "ckpt")
+        quickstart = dict(
+            student_dataset=data, teacher_dataset=None, teacher_members=4,
+            teacher_slices=2, student_constituents=2, slices_per_chunk=2, mode="purge",
+            e_prime=8, teacher_arch=arch, student_arch=arch,
+            teacher_hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=1),
+            student_hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=2),
+            store=store, seed=11)
+        with pytest.raises(ValueError):
+            train_system(**dict(quickstart, **bad))
+        assert store.storage_report().total_count == 0
 
 
 class TestSnapshot:
@@ -118,6 +142,7 @@ class TestManifest:
                      lambda d: d["student"].update(mode="magic"),
                      lambda d: d["teacher"]["plan"].update(slices=[[2, 1]] * 4),
                      lambda d: d["student"]["plan"].update(slices=[[2, 2, 2]]),
+                     lambda d: d["student"]["plan"].update(slices=[[2], [2, 2]]),
                      lambda d: d["student"]["plan"].update(removed=[424242]),
                      lambda d: d["teacher"]["plan"].update(removed=[5, 5]),
                      lambda d: d["student"]["plan"].update(removed=[5.0])):
@@ -232,6 +257,35 @@ class TestManifest:
         assert load_system(path).student.plan.raw_slices() == before
         save_manifest(small_system, path, "ckpt")
         assert victim not in load_system(path).student.plan
+
+    @pytest.mark.parametrize("step", ["write", "rename"])
+    def test_failed_save_leaves_no_temporary_file(self, small_system, tmp_path,
+                                                  monkeypatch, step):
+        """A save that fails halfway through writing or renaming its
+        temporary file removes it, and the previous manifest still loads."""
+        path = tmp_path / "system.json"
+        save_manifest(small_system, path, "ckpt")
+        before = path.read_bytes()
+
+        def torn(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+        def refused(src, dst):
+            raise OSError("rename refused")
+
+        with monkeypatch.context() as patch:
+            if step == "write":
+                patch.setattr(Path, "write_bytes", torn)
+            else:
+                patch.setattr(os, "replace", refused)
+            with pytest.raises(OSError):
+                save_manifest(small_system, path, "ckpt")
+        assert sorted(p.name for p in tmp_path.glob("*.tmp")) == []
+        assert path.read_bytes() == before
+        assert load_system(path).student.plan.raw_slices() == \
+            small_system.student.plan.raw_slices()
 
     def test_reload_after_mixed_stream_is_bit_exact(self, streamed_system, tmp_path):
         """Plans rebuilt from seed, shape and removed ids, and soft labels
