@@ -1,5 +1,7 @@
 """Lossless on-disk persistence of model states, and the one checkpointed
-lifecycle of both roles: ``retrain`` runs model k's slice rounds from its
+lifecycle of both roles. The store takes and returns states: ``save(key,
+state)`` and ``load`` give a ``CheckpointRecord``, the state with its key,
+generation and encoded size. ``retrain`` runs model k's slice rounds from its
 seeded initial state, ``revert_and_replay`` from the checkpoint
 ``revert_key`` names, both through ``replay``. A role (``TeacherEnsemble``,
 ``StudentNetwork``) supplies only ``role``, ``seed_domain`` and ``run_round``.
@@ -38,8 +40,9 @@ import contextlib
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,22 +86,12 @@ class CheckpointKey:
         return f"{self.role}:{self.k}:{self.l}:{self.j}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckpointRecord:
     key: CheckpointKey
-    arch: ModelArch
-    params: np.ndarray
-    rng_cursor: int
-    generation: int = 0
-    byte_size: int = 0
-
-
-def state_record(key: CheckpointKey, state: ModelState) -> CheckpointRecord:
-    return CheckpointRecord(key, state.arch, state.params.copy(), state.rng_cursor)
-
-
-def record_state(record: CheckpointRecord) -> ModelState:
-    return ModelState(record.arch, record.params.copy(), record.rng_cursor)
+    state: ModelState
+    generation: int
+    byte_size: int
 
 
 def revert_key(role: str, plan, k: int, l: int, j: int) -> CheckpointKey:
@@ -133,8 +126,7 @@ def retrain(net, k: int, store: CheckpointStore | None, ledger: CostLedger,
     store is None) through every round."""
     state = init_model(net.arch, mix_seed(net.seed, net.seed_domain, k))
     if store is not None:
-        key = CheckpointKey(net.role, k, 0, 0)
-        store.save(key, state_record(key, state))
+        store.save(CheckpointKey(net.role, k, 0, 0), state)
     return replay(net, state, k, 1, 1, store, ledger, phase)[0]
 
 
@@ -144,19 +136,18 @@ def revert_and_replay(net, k: int, l: int, j: int, store: CheckpointStore,
     (l, j). Returns (state, steps, the checkpoint as ``key@generation``)."""
     key = revert_key(net.role, net.plan, k, l, j)
     record = store.load(key)
-    state, steps = replay(net, record_state(record), k, l, j, store, ledger, phase)
+    state, steps = replay(net, record.state, k, l, j, store, ledger, phase)
     return state, steps, f"{key}@{record.generation}"
 
 
-def encode_record(record: CheckpointRecord) -> bytes:
-    arch = record.arch
-    params = np.ascontiguousarray(record.params, dtype="<f8")
+def encode_record(key: CheckpointKey, generation: int, state: ModelState) -> bytes:
+    arch = state.arch
+    params = np.ascontiguousarray(state.params, dtype="<f8")
     head = _HEADER.pack(
-        MAGIC, VERSION, ROLES.index(record.key.role),
-        record.key.k, record.key.l, record.key.j, record.generation,
+        MAGIC, VERSION, ROLES.index(key.role), key.k, key.l, key.j, generation,
         ("softmax_linear", "one_hidden_layer").index(arch.kind),
         arch.feature_dim, arch.num_classes, arch.hidden_units or 0,
-        record.rng_cursor, len(params))
+        state.rng_cursor, len(params))
     return head + params.tobytes()
 
 
@@ -176,28 +167,15 @@ def decode_record(data: bytes) -> CheckpointRecord:
                      hidden or None)
     if len(data) != _HEADER.size + 8 * param_count or param_count != arch.param_count:
         raise StorageError("checkpoint truncated or inconsistent")
+    # A copy: frombuffer is read-only, and a loaded state is the caller's to train.
     params = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).copy()
-    return CheckpointRecord(CheckpointKey(ROLES[role_ix], k, l, j), arch, params,
-                            cursor, gen, len(data))
+    return CheckpointRecord(CheckpointKey(ROLES[role_ix], k, l, j),
+                            ModelState(arch, params, cursor), gen, len(data))
 
 
-@dataclass
-class RoleTotals:
-    count: int = 0
-    bytes: int = 0
-
-
-@dataclass
-class StorageReport:
-    per_role: dict = field(default_factory=dict)  # role -> RoleTotals
-
-    @property
-    def total_count(self) -> int:
-        return sum(t.count for t in self.per_role.values())
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(t.bytes for t in self.per_role.values())
+class StorageTotals(NamedTuple):
+    total_count: int
+    total_bytes: int
 
 
 def _frame(data: bytes, off: int) -> int | None:
@@ -280,13 +258,11 @@ class CheckpointStore:
             raise StorageError(f"{self.log} changed since this store last read or "
                                f"wrote it; one writing process per store at a time")
 
-    def save(self, key: CheckpointKey, record: CheckpointRecord) -> CheckpointRecord:
-        """Append a record under the next generation for this key; returns the
-        stored record (generation and byte_size filled in)."""
+    def save(self, key: CheckpointKey, state: ModelState) -> CheckpointRecord:
+        """Append state under the next generation for this key; returns its
+        record, which holds state itself (its bytes are in the log)."""
         generation = max(self._index.get(key, ()), default=0) + 1
-        record.key = key
-        record.generation = generation
-        data = encode_record(record)
+        data = encode_record(key, generation, state)
         try:
             with open(self.log, "ab") as fh:
                 self._check_size(fh.tell())
@@ -300,15 +276,11 @@ class CheckpointStore:
         self._index.setdefault(key, {})[generation] = (self._end, len(data))
         self._end += _FRAME.size + len(data)
         self._size = self._end
-        record.byte_size = len(data)
-        return record
+        return CheckpointRecord(key, state, generation, len(data))
 
     def latest_generation(self, key: CheckpointKey) -> int | None:
         gens = self._index.get(key)
         return max(gens) if gens else None
-
-    def exists(self, key: CheckpointKey) -> bool:
-        return bool(self._index.get(key))
 
     def load(self, key: CheckpointKey, generation: int | None = None) -> CheckpointRecord:
         gens = self._index.get(key)
@@ -337,14 +309,11 @@ class CheckpointStore:
         return sorted((k for k in self._index if role is None or k.role == role),
                       key=lambda k: (k.role, k.k, k.l, k.j))
 
-    def storage_report(self) -> StorageReport:
-        """Record count and encoded record bytes per role (frame headers aside)."""
-        report = StorageReport({role: RoleTotals() for role in ROLES})
-        for key, gens in self._index.items():
-            totals = report.per_role[key.role]
-            totals.count += len(gens)
-            totals.bytes += sum(size for _, size in gens.values())
-        return report
+    def storage_report(self) -> StorageTotals:
+        """Record count and encoded record bytes (frame headers aside), all
+        generations."""
+        gens = [size for g in self._index.values() for _, size in g.values()]
+        return StorageTotals(len(gens), sum(gens))
 
     def prune(self) -> int:
         """Compact the log to the latest generation of every key, so superseded

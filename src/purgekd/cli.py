@@ -259,6 +259,7 @@ def cmd_unlearn(args) -> int:
     requests = parse_request_stream(args.requests)
     out = Path(args.out) if args.out else manifest.parent
     out.mkdir(parents=True, exist_ok=True)
+    store_dir = os.path.relpath(system.store.root, manifest.parent)
 
     failed = None
     with open(out / "unlearn_reports.jsonl", "w", encoding="utf-8") as fh:
@@ -268,6 +269,8 @@ def cmd_unlearn(args) -> int:
                 _, report = apply_request(system, request)
             except NotFoundError as exc:
                 raise DataError(f"request {request.request_id}: {exc}") from None
+            # Commit each applied request: a later one that fails leaves the run whole.
+            save_manifest(system, manifest, store_dir)
             doc = asdict(report)
             if args.verify:
                 verdict = verify_exactness(before, request, system)
@@ -278,8 +281,6 @@ def cmd_unlearn(args) -> int:
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
             if failed:
                 break
-    save_manifest(system, manifest,
-                  os.path.relpath(system.store.root, manifest.parent))
     write_ledger_csv(system.ledger, out / "ledger_unlearn.csv")
     if failed:
         rid, verdict = failed

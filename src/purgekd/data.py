@@ -48,12 +48,13 @@ class Dataset:
 
     Ids are never reused; removing a point from a partition does not free its
     id for new points. ``rows_for`` is the package's one id -> row index.
+    Its arrays are read-only, caller's arrays included, so digests stay valid.
     """
 
     def __init__(self, ids, features, labels, num_classes):
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.features = np.asarray(features, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.int64)
+        self.ids = _frozen(np.asarray(ids, dtype=np.int64))
+        self.features = _frozen(np.asarray(features, dtype=np.float64))
+        self.labels = _frozen(np.asarray(labels, dtype=np.int64))
         if self.features.ndim != 2:
             raise DimensionError("features must be a 2-d array")
         if not (len(self.ids) == len(self.features) == len(self.labels)):

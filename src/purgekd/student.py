@@ -22,8 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import model
-from .checkpoints import (CheckpointKey, CheckpointStore, record_state, retrain,
-                          state_record)
+from .checkpoints import CheckpointKey, CheckpointStore, retrain
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan, even_split_sizes, make_partition
 from .errors import NotFoundError
@@ -178,8 +177,7 @@ def run_student_round(state: ModelState, k: int, l: int, j: int,
     steps = len(x) * epochs
     ledger.add(phase, "student", k, steps)
     if store is not None:
-        key = CheckpointKey("student", k, l, j)
-        store.save(key, state_record(key, state))
+        store.save(CheckpointKey("student", k, l, j), state)
     return state, steps
 
 
@@ -246,7 +244,7 @@ def loss_trace(network: StudentNetwork, store: CheckpointStore, k: int):
         for j in range(1, plan.slices_in_chunk(k, l) + 1):
             x, soft, hard = _gather_round(plan, network.dataset,
                                           network.soft_labels, k, l, j)
-            state = record_state(store.load(CheckpointKey("student", k, l, j)))
+            state = store.load(CheckpointKey("student", k, l, j)).state
             trace.append((len(trace) + 1, model.mean_distill_loss(
                 state, x, soft, hard, network.hyper.hard_label_weight)))
     return trace

@@ -25,16 +25,17 @@ import hashlib
 import io
 import json
 import os
+import weakref
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoints import CheckpointKey, CheckpointStore, record_state
+from .checkpoints import CheckpointKey, CheckpointStore
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan, make_partition
 from .errors import ConfigError, NotFoundError, ParseError, PartitionError, StorageError
-from .model import ModelArch, TrainHyper, kernel_fingerprint
+from .model import SEED_STUDENT_PLAN, ModelArch, TrainHyper, kernel_fingerprint, mix_seed
 from .student import (MODES, StudentNetwork, build_mapping, student_structure,
                       train_student_network)
 from .teacher import TeacherEnsemble, TrainBudget, train_teacher_ensemble
@@ -64,7 +65,7 @@ def train_system(*, student_dataset: Dataset, teacher_dataset: Dataset | None,
     """Train the full pipeline: teacher ensemble first, then the distilled
     student network against it. teacher_dataset=None shares the student data.
     slices_per_chunk (an int, or R_{k,l} per chunk of each constituent) becomes
-    the nested shape first: a shape or mode error trains nothing."""
+    the nested shape first: a shape, mode or partition error trains nothing."""
     counts = build_mapping(teacher_members, student_constituents, mapping_sizes).chunk_counts
     if isinstance(slices_per_chunk, int):
         slices_per_chunk = [[slices_per_chunk] * c for c in counts]
@@ -86,6 +87,8 @@ def train_system(*, student_dataset: Dataset, teacher_dataset: Dataset | None,
         if arch.num_classes != student_dataset.num_classes:
             raise ConfigError(f"{name} arch expects {arch.num_classes} classes, "
                               f"dataset has {student_dataset.num_classes}")
+    # A trial draw, repeated by train_student_network: raises PartitionError now.
+    make_partition(student_dataset, slices_per_chunk, mix_seed(seed, SEED_STUDENT_PLAN))
     budget = TrainBudget(e_prime)
     ledger = CostLedger()
     teacher = train_teacher_ensemble(tds, teacher_members, teacher_slices, budget,
@@ -126,19 +129,25 @@ def _write_atomic(path: Path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)  # left only by a failed write or rename
 
 
+# Dataset -> manifest entry from a save or a checked load; read-only arrays keep it valid.
+_ENTRIES = weakref.WeakKeyDictionary()
+
+
 def _save_dataset(ds: Dataset, directory: Path) -> dict:
-    """Write ds once into directory, named by its digest; returns its
-    manifest entry."""
+    """Write ds once into directory, named by its digest, serializing it only
+    if it has no entry or no file there; returns its manifest entry."""
+    if ds in _ENTRIES and (directory / _ENTRIES[ds]["file"]).exists():
+        return _ENTRIES[ds]
     buf = io.BytesIO()
     for array in (ds.ids, ds.labels, ds.features):
         np.save(buf, array, allow_pickle=False)
     data = buf.getvalue()
     digest = _digest(data)
-    name = f"dataset-{digest}.bin"
-    path = directory / name
+    path = directory / f"dataset-{digest}.bin"
     if not path.exists():
         _write_atomic(path, data)
-    return {"file": name, "digest": digest, "num_classes": ds.num_classes}
+    _ENTRIES[ds] = {"file": path.name, "digest": digest, "num_classes": ds.num_classes}
+    return _ENTRIES[ds]
 
 
 def _load_dataset(entry: dict, directory: Path) -> Dataset:
@@ -151,7 +160,9 @@ def _load_dataset(entry: dict, directory: Path) -> Dataset:
         raise ParseError(f"{path}: contents do not match the manifest's digest")
     buf = io.BytesIO(data)
     ids, labels, features = (np.load(buf, allow_pickle=False) for _ in range(3))
-    return Dataset(ids, features, labels, entry["num_classes"])
+    ds = Dataset(ids, features, labels, entry["num_classes"])
+    _ENTRIES[ds] = entry
+    return ds
 
 
 def _plan_args(entry: dict) -> tuple:
@@ -221,7 +232,7 @@ def load_system(path) -> TrainedSystem:
 
 def _final_states(store: CheckpointStore, role: str, plan: PartitionPlan) -> list:
     """Each shard's model state after its last round, from the store."""
-    return [record_state(store.load(CheckpointKey(role, k, len(row), row[-1])))
+    return [store.load(CheckpointKey(role, k, len(row), row[-1])).state
             for k, row in enumerate(plan.slice_counts(), start=1)]
 
 

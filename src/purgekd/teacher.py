@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from . import model
-from .checkpoints import (CheckpointKey, CheckpointStore, retrain,
-                          revert_and_replay, state_record)
+from .checkpoints import CheckpointKey, CheckpointStore, retrain, revert_and_replay
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan, make_partition
 from .model import (SEED_TEACHER, SEED_TEACHER_PLAN, ModelArch, ModelState,
@@ -67,8 +66,7 @@ class TeacherEnsemble:
                             one_hot(hard, self.dataset.num_classes), hard, epochs, hyper_m)
         ledger.add(phase, self.role, m, len(rows) * epochs)
         if store is not None:
-            key = CheckpointKey(self.role, m, l, j)
-            store.save(key, state_record(key, state))
+            store.save(CheckpointKey(self.role, m, l, j), state)
         return state, len(rows) * epochs
 
 

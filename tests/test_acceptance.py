@@ -20,8 +20,7 @@ from purgekd import (CheckpointStore, CostLedger, Dataset, ModelArch,
                      simulate_teacher_requests, snapshot, speedup_vs_m,
                      speedup_vs_n, apply_request, train_student_network,
                      train_system, train_teacher_ensemble, verify_exactness)
-from purgekd.checkpoints import (CheckpointKey, decode_record, encode_record,
-                                 state_record)
+from purgekd.checkpoints import CheckpointKey, decode_record, encode_record
 from purgekd.costmodel import avg_retrain_steps, brute_force_avg_steps
 from purgekd.model import _gradient, _layers
 from purgekd.student import train_student_network as _tsn  # noqa: F401
@@ -408,11 +407,11 @@ def test_criterion_7_numerical_substrate():
         key = CheckpointKey("student" if rng.integers(2) else "teacher",
                             int(rng.integers(1, 100)),
                             int(rng.integers(1, 50)), int(rng.integers(1, 50)))
-        record = state_record(key, state)
-        back = decode_record(encode_record(record))
-        assert back.key == record.key and back.arch == record.arch
-        assert back.rng_cursor == record.rng_cursor
-        np.testing.assert_array_equal(back.params, record.params)
+        back = decode_record(encode_record(key, case + 1, state))
+        assert (back.key, back.generation) == (key, case + 1)
+        assert back.state.arch == state.arch
+        assert back.state.rng_cursor == state.rng_cursor
+        np.testing.assert_array_equal(back.state.params, state.params)
 
     print("criterion 7: PASS — 100 gradient cases (rtol 1e-4), "
           "100 normalization cases (1e-9), 1000 bit-exact round trips")

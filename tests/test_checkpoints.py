@@ -7,17 +7,18 @@ import zlib
 import numpy as np
 import pytest
 
-from purgekd import (CheckpointKey, CheckpointRecord, CheckpointStore,
-                     CostLedger, ModelArch, NotFoundError, StorageError,
-                     init_model, make_partition)
+from purgekd import (CheckpointKey, CheckpointStore, CostLedger, ModelArch,
+                     ModelState, NotFoundError, StorageError, init_model,
+                     make_partition)
 from purgekd.checkpoints import (decode_record, encode_record, retrain,
-                                 revert_and_replay, revert_key, state_record)
+                                 revert_and_replay, revert_key)
 
 
 FRAME_HEAD = 8  # payload length and CRC-32 before every record
 
 
-def _random_record(rng):
+def _random_state(rng):
+    """A random key and a random state of a random architecture."""
     kind = "one_hidden_layer" if rng.integers(2) else "softmax_linear"
     hidden = int(rng.integers(2, 17)) if kind == "one_hidden_layer" else None
     arch = ModelArch(kind, int(rng.integers(1, 33)), int(rng.integers(2, 12)),
@@ -29,7 +30,7 @@ def _random_record(rng):
         role="teacher" if rng.integers(2) else "student",
         k=int(rng.integers(1, 100)), l=int(rng.integers(1, 50)),
         j=int(rng.integers(1, 50)))
-    return state_record(key, state)
+    return key, state
 
 
 class TestKey:
@@ -110,65 +111,71 @@ class TestBinaryRoundTrip:
         """1000 random states survive encode/decode with zero drift."""
         rng = np.random.default_rng(1234)
         for _ in range(1000):
-            record = _random_record(rng)
-            back = decode_record(encode_record(record))
-            assert back.key == record.key
-            assert back.arch == record.arch
-            assert back.rng_cursor == record.rng_cursor
-            assert back.params.dtype == np.float64
-            np.testing.assert_array_equal(back.params, record.params)
+            key, state = _random_state(rng)
+            generation = int(rng.integers(1, 1 << 20))
+            back = decode_record(encode_record(key, generation, state))
+            assert (back.key, back.generation) == (key, generation)
+            assert back.state.arch == state.arch
+            assert back.state.rng_cursor == state.rng_cursor
+            assert back.state.params.dtype == np.float64
+            np.testing.assert_array_equal(back.state.params, state.params)
 
     def test_special_float_values(self):
         rng = np.random.default_rng(5)
-        record = _random_record(rng)
-        record.params[0] = 0.0
-        record.params[1] = -0.0
-        if record.params.size > 4:
-            record.params[2] = np.finfo(np.float64).tiny
-            record.params[3] = np.finfo(np.float64).max
-        back = decode_record(encode_record(record))
+        key, state = _random_state(rng)
+        state.params[0] = 0.0
+        state.params[1] = -0.0
+        if state.params.size > 4:
+            state.params[2] = np.finfo(np.float64).tiny
+            state.params[3] = np.finfo(np.float64).max
+        back = decode_record(encode_record(key, 1, state)).state
         np.testing.assert_array_equal(
-            np.signbit(back.params), np.signbit(record.params))
-        np.testing.assert_array_equal(back.params, record.params)
+            np.signbit(back.params), np.signbit(state.params))
+        np.testing.assert_array_equal(back.params, state.params)
 
     def test_bad_magic_rejected(self):
         rng = np.random.default_rng(6)
-        blob = bytearray(encode_record(_random_record(rng)))
+        key, state = _random_state(rng)
+        blob = bytearray(encode_record(key, 1, state))
         blob[0:4] = b"XXXX"
         with pytest.raises(StorageError):
             decode_record(bytes(blob))
 
     def test_truncation_rejected(self):
         rng = np.random.default_rng(7)
-        blob = encode_record(_random_record(rng))
+        key, state = _random_state(rng)
+        blob = encode_record(key, 1, state)
         with pytest.raises(StorageError):
             decode_record(blob[:-3])
 
 
 class TestStore:
     def test_save_load(self, tmp_path):
+        """save returns the caller's state under its key and generation;
+        load returns a state that owns its parameters."""
         rng = np.random.default_rng(8)
         store = CheckpointStore(tmp_path / "s")
-        record = _random_record(rng)
-        saved = store.save(record.key, record)
-        assert saved.generation == 1
-        back = store.load(record.key)
-        np.testing.assert_array_equal(back.params, record.params)
+        key, state = _random_state(rng)
+        saved = store.save(key, state)
+        assert (saved.key, saved.state, saved.generation) == (key, state, 1)
+        assert (tmp_path / "s" / "store.log").stat().st_size == FRAME_HEAD + saved.byte_size
+        back = store.load(key)
+        np.testing.assert_array_equal(back.state.params, state.params)
+        assert back.byte_size == saved.byte_size
+        back.state.params[0] += 1.0  # writable, and no longer the stored bytes
+        np.testing.assert_array_equal(store.load(key).state.params, state.params)
 
     def test_generations_bump_and_coexist(self, tmp_path):
         rng = np.random.default_rng(9)
         store = CheckpointStore(tmp_path / "s")
-        record = _random_record(rng)
-        first = store.save(record.key, record)
-        record2 = CheckpointRecord(key=record.key, arch=record.arch,
-                                   params=record.params * 2.0,
-                                   rng_cursor=record.rng_cursor + 1)
-        second = store.save(record.key, record2)
+        key, state = _random_state(rng)
+        first = store.save(key, state)
+        state2 = ModelState(state.arch, state.params * 2.0, state.rng_cursor + 1)
+        second = store.save(key, state2)
         assert (first.generation, second.generation) == (1, 2)
-        np.testing.assert_array_equal(store.load(record.key).params,
-                                      record2.params)
+        np.testing.assert_array_equal(store.load(key).state.params, state2.params)
         np.testing.assert_array_equal(
-            store.load(record.key, generation=1).params, record.params)
+            store.load(key, generation=1).state.params, state.params)
 
     def test_missing_key(self, tmp_path):
         store = CheckpointStore(tmp_path / "s")
@@ -179,78 +186,72 @@ class TestStore:
         """A fresh store object over the same root sees everything."""
         rng = np.random.default_rng(10)
         store = CheckpointStore(tmp_path / "s")
-        records = [_random_record(rng) for _ in range(12)]
-        for r in records:
-            store.save(r.key, r)
+        saved = [_random_state(rng) for _ in range(12)]
+        for key, state in saved:
+            store.save(key, state)
         reopened = CheckpointStore(tmp_path / "s")
-        for r in records:
+        for key, _ in saved:
             np.testing.assert_array_equal(
-                reopened.load(r.key, generation=reopened.latest_generation(r.key)).params,
-                store.load(r.key, generation=store.latest_generation(r.key)).params)
+                reopened.load(key, generation=reopened.latest_generation(key)).state.params,
+                store.load(key, generation=store.latest_generation(key)).state.params)
 
     def test_storage_report_matches_filesystem(self, tmp_path):
         rng = np.random.default_rng(11)
         root = tmp_path / "s"
         store = CheckpointStore(root)
         for _ in range(10):
-            r = _random_record(rng)
-            store.save(r.key, r)
+            store.save(*_random_state(rng))
         report = store.storage_report()
         assert report.total_count == 10
         assert (root / "store.log").stat().st_size == \
             report.total_bytes + FRAME_HEAD * report.total_count
-        assert set(report.per_role) <= {"teacher", "student"}
 
     def test_prune_keeps_latest_generation(self, tmp_path):
         rng = np.random.default_rng(12)
         store = CheckpointStore(tmp_path / "s")
-        record = _random_record(rng)
-        store.save(record.key, record)
-        newer = CheckpointRecord(key=record.key, arch=record.arch,
-                                 params=record.params + 1.0, rng_cursor=9)
-        store.save(record.key, newer)
-        other = _random_record(rng)
-        store.save(other.key, other)
+        key, state = _random_state(rng)
+        store.save(key, state)
+        newer = ModelState(state.arch, state.params + 1.0, 9)
+        store.save(key, newer)
+        store.save(*_random_state(rng))
 
         removed = store.prune()
         assert removed == 1
-        np.testing.assert_array_equal(store.load(record.key).params,
-                                      newer.params)
+        np.testing.assert_array_equal(store.load(key).state.params, newer.params)
         with pytest.raises(NotFoundError):
-            store.load(record.key, generation=1)
+            store.load(key, generation=1)
         assert store.storage_report().total_count == 2
 
     def test_keys_by_role(self, tmp_path):
         store = CheckpointStore(tmp_path / "s")
         arch = ModelArch("softmax_linear", 3, 2)
         for role, k in [("teacher", 1), ("teacher", 2), ("student", 1)]:
-            key = CheckpointKey(role, k, 1, 1)
-            store.save(key, state_record(key, init_model(arch, seed=k)))
+            store.save(CheckpointKey(role, k, 1, 1), init_model(arch, seed=k))
         assert {key.k for key in store.keys("teacher")} == {1, 2}
         assert {key.k for key in store.keys("student")} == {1}
 
 
 def _fill(store, rng, count):
-    """Save count random records, some keys several times; returns
+    """Save count random states, some keys several times; returns
     {(key, generation): params} of everything saved."""
     saved, keys = {}, []
     for _ in range(count):
-        record = _random_record(rng)
+        key, state = _random_state(rng)
         if keys and rng.integers(3) == 0:
             key, arch = keys[int(rng.integers(len(keys)))]
-            record = CheckpointRecord(key, arch, rng.normal(size=arch.param_count),
-                                      int(rng.integers(1 << 40)))
+            state = ModelState(arch, rng.normal(size=arch.param_count),
+                               int(rng.integers(1 << 40)))
         else:
-            keys.append((record.key, record.arch))
-        out = store.save(record.key, record)
-        saved[(out.key, out.generation)] = out.params.copy()
+            keys.append((key, state.arch))
+        out = store.save(key, state)
+        saved[(out.key, out.generation)] = out.state.params.copy()
     return saved
 
 
 def _assert_holds(store, saved):
     assert store.storage_report().total_count == len(saved)
     for (key, generation), params in saved.items():
-        np.testing.assert_array_equal(store.load(key, generation).params, params)
+        np.testing.assert_array_equal(store.load(key, generation).state.params, params)
 
 
 def _frame_starts(log):
@@ -310,12 +311,11 @@ class TestLog:
         rng = np.random.default_rng(23)
         root = tmp_path / "s"
         store = CheckpointStore(root)
-        record = _random_record(rng)
-        old = store.save(record.key, record)
-        old_bytes = old.params.astype("<f8").tobytes()
+        key, state = _random_state(rng)
+        old = store.save(key, state)
+        old_bytes = old.state.params.astype("<f8").tobytes()
         _fill(store, rng, 20)
-        store.save(record.key, CheckpointRecord(record.key, record.arch,
-                                                record.params + 1.0, 3))
+        store.save(key, ModelState(state.arch, state.params + 1.0, 3))
         log = root / "store.log"
         assert old_bytes in log.read_bytes()
         before = log.stat().st_size
@@ -334,8 +334,8 @@ class TestLog:
         for key in store.keys():
             generation = store.latest_generation(key)
             assert reopened.latest_generation(key) == generation
-            np.testing.assert_array_equal(reopened.load(key).params,
-                                          store.load(key, generation).params)
+            np.testing.assert_array_equal(reopened.load(key).state.params,
+                                          store.load(key, generation).state.params)
         more = _fill(reopened, rng, 2)  # the compacted log takes appends
         for key in {key for key, _ in more}:  # _fill may save a key twice
             start = store.latest_generation(key) or 0
@@ -370,10 +370,9 @@ class TestLog:
         _fill(first, rng, 2)
         second = CheckpointStore(tmp_path / "s")
         _fill(second, rng, 1)
-        record = _random_record(rng)
         with pytest.raises(StorageError, match="one writing process"):
-            first.save(record.key, record)
+            first.save(*_random_state(rng))
         _assert_holds(CheckpointStore(tmp_path / "s"),
-                      {(k, g): second.load(k, g).params
+                      {(k, g): second.load(k, g).state.params
                        for k in second.keys()
                        for g in range(1, second.latest_generation(k) + 1)})

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from purgekd.cli import main
-from purgekd.system import MANIFEST_VERSION
+from purgekd.system import MANIFEST_VERSION, load_system
 
 BASE_CONFIG = {
     "seed": 3,
@@ -162,11 +162,35 @@ class TestUnlearn:
             (b / "system.json").read_bytes()
 
     def test_unknown_point_exits_3(self, config_path, tmp_path):
+        """A stream whose first request is unknown leaves system.json as it was."""
         out = _train(config_path, tmp_path / "run")
+        manifest = (out / "system.json").read_bytes()
         bad = tmp_path / "bad.csv"
         bad.write_text("seq,target_kind,point_id\n1,student_point,424242\n")
         assert main(["unlearn", "--system", str(out),
                      "--requests", str(bad)]) == 3
+        assert (out / "system.json").read_bytes() == manifest
+
+    def test_unknown_point_mid_stream_commits_the_applied_requests(self, config_path,
+                                                                   tmp_path):
+        """A stream that fails on an unknown id after removing a point of
+        constituent 1 exits 3 with that removal committed, so a later
+        verified removal from another chunk of constituent 1 passes."""
+        out = _train(config_path, tmp_path / "run")
+        plan = load_system(out / "system.json").student.plan
+        first, later = plan.slice_ids(1, 1, 1)[0], plan.chunk_ids(1, 2)[0]
+        stream = tmp_path / "stream.csv"
+
+        def unlearn(*points, verify=False):
+            stream.write_text("seq,target_kind,point_id\n" + "".join(
+                f"{seq},student_point,{p}\n" for seq, p in enumerate(points, 1)))
+            return main(["unlearn", "--system", str(out), "--requests", str(stream)]
+                        + ["--verify"] * verify)
+
+        assert unlearn(first, 999999) == 3
+        assert unlearn(later, verify=True) == 0
+        doc = json.loads((out / "system.json").read_text())
+        assert doc["student"]["plan"]["removed"] == sorted([first, later])
 
     def test_corrupt_store_exits_3(self, config_path, tmp_path, capsys):
         out = _train(config_path, tmp_path / "run")

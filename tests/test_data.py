@@ -60,6 +60,12 @@ class TestDatasetAccessors:
         with pytest.raises(NotFoundError):
             small_dataset.rows_for([10_000])
 
+    def test_arrays_are_read_only(self, small_dataset):
+        """A manifest keeps a dataset's digest, so its arrays cannot change."""
+        for array in (small_dataset.ids, small_dataset.labels, small_dataset.features):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
+
     def test_rows_for_unsorted_ids(self):
         ds = Dataset(ids=np.array([50, 3, 17, 99]), features=np.zeros((4, 2)),
                      labels=np.array([0, 1, 0, 1]), num_classes=2)

@@ -141,10 +141,11 @@ class TestTrainingLayout:
         store = CheckpointStore(tmp_path / "s")
         net = _train_student(small_dataset, ensemble, store, ledger)
         for k in (1, 2):
-            assert store.exists(CheckpointKey("student", k, 0, 0))
+            assert store.latest_generation(CheckpointKey("student", k, 0, 0)) is not None
             for l in (1, 2):
                 for j in (1, 2):
-                    assert store.exists(CheckpointKey("student", k, l, j))
+                    key = CheckpointKey("student", k, l, j)
+                    assert store.latest_generation(key) is not None
         trained = [key for key in store.keys("student") if key.j > 0]
         assert len(trained) == 2 * 2 * 2
 

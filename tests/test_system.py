@@ -8,10 +8,15 @@ import numpy as np
 import pytest
 
 from purgekd import (CheckpointStore, ConfigError, ModelArch, ParseError,
-                     SyntheticSpec, TrainHyper, UnlearnRequest, apply_request,
-                     gen_synthetic, load_system, save_manifest, snapshot,
-                     train_system, verify_exactness)
+                     PartitionError, SyntheticSpec, TrainHyper, UnlearnRequest,
+                     apply_request, gen_synthetic, load_system, save_manifest,
+                     snapshot, train_system, verify_exactness)
 from purgekd.system import MANIFEST_VERSION
+
+QUICKSTART_DATA = gen_synthetic(SyntheticSpec(num_classes=3, points_per_class=200,
+                                              feature_dim=5, seed=7))
+THREE_POINTS = gen_synthetic(SyntheticSpec(num_classes=3, points_per_class=1,
+                                           feature_dim=5, seed=8))
 
 
 class TestTrainSystem:
@@ -47,25 +52,30 @@ class TestTrainSystem:
                 store=CheckpointStore(tmp_path / "s"), seed=0)
 
 
-    @pytest.mark.parametrize("bad", [{"mapping_sizes": [3, 3]}, {"mode": "magic"},
-                                     {"slices_per_chunk": [[2, 2]]}],
-                             ids=["mapping_sizes", "mode", "slices_per_chunk"])
-    def test_bad_shape_fails_before_training(self, tmp_path, bad):
+    @pytest.mark.parametrize("bad, error", [
+        ({"mapping_sizes": [3, 3]}, ValueError),
+        ({"mode": "magic"}, ValueError),
+        ({"slices_per_chunk": [[2, 2]]}, ValueError),
+        ({"slices_per_chunk": [[0, 2], [2, 2]]}, PartitionError),
+        ({"student_dataset": THREE_POINTS, "teacher_dataset": QUICKSTART_DATA},
+         PartitionError),
+    ], ids=["mapping_sizes", "mode", "slices_per_chunk", "zero_slices",
+            "three_student_points"])
+    def test_bad_shape_fails_before_training(self, tmp_path, bad, error):
         """The README library quickstart with a mapping that does not sum to
-        the teachers, an unknown mode or one slice row for two constituents
-        raises before any checkpoint is saved."""
-        data = gen_synthetic(SyntheticSpec(num_classes=3, points_per_class=200,
-                                           feature_dim=5, seed=7))
+        the teachers, an unknown mode, one slice row for two constituents, a
+        chunk of zero slices or three student points beside a separate
+        teacher dataset raises before any checkpoint is saved."""
         arch = ModelArch("softmax_linear", feature_dim=5, num_classes=3)
         store = CheckpointStore(tmp_path / "ckpt")
         quickstart = dict(
-            student_dataset=data, teacher_dataset=None, teacher_members=4,
+            student_dataset=QUICKSTART_DATA, teacher_dataset=None, teacher_members=4,
             teacher_slices=2, student_constituents=2, slices_per_chunk=2, mode="purge",
             e_prime=8, teacher_arch=arch, student_arch=arch,
             teacher_hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=1),
             student_hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=2),
             store=store, seed=11)
-        with pytest.raises(ValueError):
+        with pytest.raises(error):
             train_system(**dict(quickstart, **bad))
         assert store.storage_report().total_count == 0
 
@@ -232,6 +242,31 @@ class TestManifest:
         doc = json.loads((tmp_path / "system.json").read_text())
         assert doc["student"]["dataset"]["file"] == dataset.name
         assert "soft_labels" not in doc["student"]
+
+    def test_dataset_serialized_once(self, small_system, tmp_path, monkeypatch):
+        """A second save, and a save of a loaded system into its own
+        directory, serialize no dataset; a save into a fresh directory
+        writes the same bytes under the same name."""
+        calls = []
+        real_save = np.save
+
+        def counting_save(*args, **kwargs):
+            calls.append(1)
+            return real_save(*args, **kwargs)
+
+        monkeypatch.setattr(np, "save", counting_save)
+        save_manifest(small_system, tmp_path / "system.json", "ckpt")
+        assert len(calls) == 3  # ids, labels, features of the shared dataset
+        save_manifest(small_system, tmp_path / "system.json", "ckpt")
+        loaded = load_system(tmp_path / "system.json")
+        save_manifest(loaded, tmp_path / "system.json", "ckpt")
+        assert len(calls) == 3
+        (dataset,) = tmp_path.glob("dataset-*.bin")
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        save_manifest(loaded, fresh / "system.json", "../ckpt")
+        assert len(calls) == 6
+        assert (fresh / dataset.name).read_bytes() == dataset.read_bytes()
 
     def test_failed_write_keeps_the_previous_manifest(self, small_system, tmp_path,
                                                       monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from purgekd import (CheckpointKey, CheckpointStore, CostLedger, ModelArch,
                      NotFoundError, TrainBudget, TrainHyper, aggregate_batch,
                      predict_batch, teacher_unlearn, train_teacher_ensemble)
-from purgekd.checkpoints import record_state, retrain
+from purgekd.checkpoints import retrain
 
 
 def _build(dataset, store, members=4, slices=2, e_prime=8, seed=11):
@@ -41,16 +41,16 @@ class TestInitialTraining:
         trained = [key for key in store.keys("teacher") if key.j > 0]
         assert len(trained) == 4 * 2
         for m in range(1, 5):
-            assert store.exists(CheckpointKey("teacher", m, 0, 0))
+            assert store.latest_generation(CheckpointKey("teacher", m, 0, 0)) is not None
             for j in range(1, 3):
-                assert store.exists(CheckpointKey("teacher", m, 1, j))
+                assert store.latest_generation(CheckpointKey("teacher", m, 1, j)) is not None
 
     def test_final_state_matches_last_checkpoint(self, small_dataset, tmp_path):
         store = CheckpointStore(tmp_path / "s")
         ensemble, _ = _build(small_dataset, store)
         for m in range(1, ensemble.member_count + 1):
             record = store.load(CheckpointKey("teacher", m, 1, 2))
-            np.testing.assert_array_equal(record.params,
+            np.testing.assert_array_equal(record.state.params,
                                           ensemble.members[m - 1].params)
 
     def test_ledger_total_is_cumulative_slice_cost(self, small_dataset,
