@@ -5,12 +5,16 @@ generation and encoded size. ``retrain`` runs model k's slice rounds from its
 seeded initial state, ``revert_and_replay`` from the checkpoint
 ``revert_key`` names, both through ``replay``. A role (``TeacherEnsemble``,
 ``StudentNetwork``) supplies only ``role``, ``seed_domain`` and ``run_round``.
+The initial state is never stored: its seed fixes it, so ``(role, k, 0, 0)``
+only names it, and a revert to it reports generation 0. A numpy that draws
+other initial values fails the manifest's kernel fingerprint, whose probe
+starts from ``init_model``, so its load is refused.
 
-Layout: one append-only log, ``<root>/store.log``, holds every record the
-store has saved. Saving a logical key again appends its record under the next
-generation; superseded records stay in the log until prune() compacts it. The
-index (key -> generation -> frame offset and size) lives in memory; opening a
-store rebuilds it in one pass over the log.
+Layout: one append-only log, ``<root>/store.log``. Saving a logical key again
+appends its record under the next generation; ``prune`` compacts the log to
+the latest generation of every key (``system.save_manifest`` calls it at every
+commit). The index (key -> generation -> frame offset and size) lives in
+memory; opening a store rebuilds it in one pass over the log.
 
 Frame, little-endian: payload length (uint32), CRC-32 of the payload
 (uint32, zlib), then the payload, which is one encoded record.
@@ -27,7 +31,9 @@ leaves at most a failing final frame (cut short, or zero-filled where the
 file grew but its data never reached the disk). Opening the store ignores
 that frame and writes nothing; the next save truncates it before appending.
 A failing frame with a valid frame after it is corruption and raises
-StorageError.
+StorageError. A compaction writes a temporary log and renames it over the old
+one, so a kill leaves the old log whole, plus at most the temporary file,
+which the next compaction replaces.
 
 One writing process per store at a time: a store appends at the end of the
 log as it last saw it, and a save or prune refuses a log whose size changed
@@ -65,8 +71,8 @@ _FRAME = struct.Struct("<II")  # payload length, CRC-32 of the payload
 class CheckpointKey:
     """Logical address of a state: role, constituent k, chunk l, slice j.
 
-    (l, j) = (0, 0) addresses the freshly initialized state; teacher keys use
-    l = 1 since teachers have a single chunk.
+    (l, j) = (0, 0) names the seeded initial state, which is derived, never
+    stored; teacher keys use l = 1 since teachers have a single chunk.
     """
 
     role: str
@@ -120,24 +126,30 @@ def replay(net, state: ModelState, k: int, l: int, j: int,
     return state, steps
 
 
+def _initial_state(net, k: int) -> ModelState:
+    return init_model(net.arch, mix_seed(net.seed, net.seed_domain, k))
+
+
 def retrain(net, k: int, store: CheckpointStore | None, ledger: CostLedger,
             phase: str) -> ModelState:
-    """Model k of net from its seeded initial state (checkpointed unless
-    store is None) through every round."""
-    state = init_model(net.arch, mix_seed(net.seed, net.seed_domain, k))
-    if store is not None:
-        store.save(CheckpointKey(net.role, k, 0, 0), state)
-    return replay(net, state, k, 1, 1, store, ledger, phase)[0]
+    """Model k of net from its seeded initial state through every round."""
+    return replay(net, _initial_state(net, k), k, 1, 1, store, ledger, phase)[0]
 
 
 def revert_and_replay(net, k: int, l: int, j: int, store: CheckpointStore,
                       ledger: CostLedger, phase: str):
     """Replay model k of net from the checkpoint saved just before round
-    (l, j). Returns (state, steps, the checkpoint as ``key@generation``)."""
+    (l, j), or from its initial state before round (1, 1). Returns (state,
+    steps, the checkpoint as ``key@generation``, generation 0 for the
+    initial state)."""
     key = revert_key(net.role, net.plan, k, l, j)
-    record = store.load(key)
-    state, steps = replay(net, record.state, k, l, j, store, ledger, phase)
-    return state, steps, f"{key}@{record.generation}"
+    if key.l == 0:
+        state, generation = _initial_state(net, k), 0
+    else:
+        record = store.load(key)
+        state, generation = record.state, record.generation
+    state, steps = replay(net, state, k, l, j, store, ledger, phase)
+    return state, steps, f"{key}@{generation}"
 
 
 def encode_record(key: CheckpointKey, generation: int, state: ModelState) -> bytes:
@@ -317,8 +329,9 @@ class CheckpointStore:
 
     def prune(self) -> int:
         """Compact the log to the latest generation of every key, so superseded
-        bytes leave the disk; returns the number of records removed."""
-        if not self._index:
+        bytes leave the disk; returns the number of records removed. A log
+        with none to remove is neither read nor written."""
+        if all(len(gens) == 1 for gens in self._index.values()):
             return 0
         try:
             data = self.log.read_bytes()
@@ -338,6 +351,8 @@ class CheckpointStore:
             os.replace(tmp, self.log)
         except OSError as exc:
             raise StorageError(f"cannot compact {self.log}: {exc}") from exc
+        finally:
+            tmp.unlink(missing_ok=True)  # left only by a failed write or rename
         removed = sum(len(gens) for gens in self._index.values()) - len(index)
         self._index, self._end, self._size = index, end, end
         return removed

@@ -260,8 +260,10 @@ def cmd_unlearn(args) -> int:
     out = Path(args.out) if args.out else manifest.parent
     out.mkdir(parents=True, exist_ok=True)
     store_dir = os.path.relpath(system.store.root, manifest.parent)
+    ledger_path = out / "ledger_unlearn.csv"
 
     failed = None
+    write_ledger_csv(system.ledger, ledger_path)  # no request committed yet
     with open(out / "unlearn_reports.jsonl", "w", encoding="utf-8") as fh:
         for request in requests:
             before = snapshot(system) if args.verify else None
@@ -269,8 +271,10 @@ def cmd_unlearn(args) -> int:
                 _, report = apply_request(system, request)
             except NotFoundError as exc:
                 raise DataError(f"request {request.request_id}: {exc}") from None
-            # Commit each applied request: a later one that fails leaves the run whole.
+            # Commit each applied request: a later one that fails leaves the run
+            # whole, and the ledger holds the rows of exactly the committed ones.
             save_manifest(system, manifest, store_dir)
+            write_ledger_csv(system.ledger, ledger_path)
             doc = asdict(report)
             if args.verify:
                 verdict = verify_exactness(before, request, system)
@@ -281,7 +285,6 @@ def cmd_unlearn(args) -> int:
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
             if failed:
                 break
-    write_ledger_csv(system.ledger, out / "ledger_unlearn.csv")
     if failed:
         rid, verdict = failed
         raise VerificationFailure(

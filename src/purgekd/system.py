@@ -5,13 +5,17 @@ A manifest (sorted JSON, floats via repr) holds structure only: seeds,
 architectures, hyperparameters, the checkpoint directory, each dataset's
 file name and digest, and each role's plan as its seed, its shape and the
 sorted ids it no longer holds; the student plan's shape also fixes the
-constituent mapping. Model states live in the checkpoint store. A dataset
-is one file beside the manifest (three ``.npy`` arrays: ids, labels,
-features), named by its blake2b digest and written only when absent, so a
-removal never rewrites it. A load builds each role through the
-constructors training uses (``make_partition``, ``student_structure``);
-label inference is row-independent, so derived soft labels equal the
-cached ones bit for bit. Reruns write byte-identical files.
+constituent mapping. Model states live in the checkpoint store. A save is
+the commit point: after the manifest's atomic write it compacts the store to
+the latest generation of every key, so no stored byte still carries an
+unlearned point; a kill between the two leaves a committed manifest over an
+uncompacted store that loads the same system. A dataset is one file beside
+the manifest (three ``.npy`` arrays: ids, labels, features), named by its
+blake2b digest and written only when absent, so a removal never rewrites it.
+A load builds each role through the constructors training uses
+(``make_partition``, ``student_structure``); label inference is
+row-independent, so derived soft labels equal the cached ones bit for bit.
+Reruns write byte-identical files.
 
 Each role also records ``model.kernel_fingerprint`` of its architecture and
 batch size. Replay reproduces a checkpoint only on the numeric kernels that
@@ -183,8 +187,8 @@ def _role_entry(net, dataset_entry: dict) -> dict:
 
 def save_manifest(system: TrainedSystem, path, checkpoint_dir: str) -> None:
     """Write the system's manifest, plus any dataset file not yet beside it,
-    each atomically. checkpoint_dir is recorded relative to the manifest's
-    directory."""
+    each atomically, then compact the system's store (``prune``).
+    checkpoint_dir is recorded relative to the manifest's directory."""
     path = Path(path)
     s, t = system.student, system.teacher
     student_dataset = _save_dataset(s.dataset, path.parent)
@@ -203,6 +207,7 @@ def save_manifest(system: TrainedSystem, path, checkpoint_dir: str) -> None:
     }
     _write_atomic(path, (json.dumps(doc, sort_keys=True, separators=(",", ":"))
                          + "\n").encode("utf-8"))
+    system.store.prune()
 
 
 def load_system(path) -> TrainedSystem:

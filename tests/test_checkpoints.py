@@ -81,7 +81,8 @@ class TestLifecycle:
                                                                role):
         """Both roles run one lifecycle: reverting model k to before any of
         its rounds and replaying gives the state a scratch retrain gives,
-        and a retrain without a store saves nothing."""
+        and a retrain without a store saves nothing. The initial state is
+        derived, not loaded, and named with generation 0."""
         net, store = getattr(small_system, role), small_system.store
         log = store.root / "store.log"
         for k in range(1, net.plan.num_shards + 1):
@@ -100,10 +101,28 @@ class TestLifecycle:
                 state, steps, reverted = revert_and_replay(
                     net, k, l, j, store, CostLedger(), f"{role}_retrain")
                 key = revert_key(role, net.plan, k, l, j)
-                assert reverted == f"{key}@{store.latest_generation(key)}"
+                generation = 0 if key.l == 0 else store.latest_generation(key)
+                assert reverted == f"{key}@{generation}"
                 assert steps == sum(round_steps[n:])
                 assert state.params.tobytes() == scratch.params.tobytes()
                 assert state.rng_cursor == scratch.rng_cursor
+
+    @pytest.mark.parametrize("role", ["teacher", "student"])
+    def test_first_round_replays_from_the_seed(self, small_system, role, tmp_path):
+        """Replaying from round (1, 1) needs no stored initial state: on an
+        empty store it gives what a retrain gives, names ``key@0`` and
+        stores one checkpoint per round only."""
+        net = getattr(small_system, role)
+        for k in range(1, net.plan.num_shards + 1):
+            store = CheckpointStore(tmp_path / f"{role}{k}")
+            scratch = retrain(net, k, None, CostLedger(), "initial_train")
+            state, _, reverted = revert_and_replay(net, k, 1, 1, store, CostLedger(),
+                                                   f"{role}_retrain")
+            assert reverted == f"{role}:{k}:0:0@0"
+            assert state.params.tobytes() == scratch.params.tobytes()
+            assert state.rng_cursor == scratch.rng_cursor
+            assert all(key.l > 0 for key in store.keys())
+            assert len(store.keys()) == net.plan.total_slices_in_shard(k)
 
 
 class TestBinaryRoundTrip:

@@ -192,6 +192,26 @@ class TestUnlearn:
         doc = json.loads((out / "system.json").read_text())
         assert doc["student"]["plan"]["removed"] == sorted([first, later])
 
+    def test_ledger_of_committed_requests_survives_exit_3(self, config_path, tmp_path):
+        """A stream that stops on an unknown id (exit 3) leaves the ledger
+        rows of the request committed before it: the same ledger that the
+        one-request stream writes."""
+        one = _train(config_path, tmp_path / "one")
+        stopped = shutil.copytree(one, tmp_path / "stopped")
+        point = load_system(one / "system.json").student.plan.slice_ids(1, 1, 1)[0]
+        stream = tmp_path / "stream.csv"
+
+        def unlearn(out, *points):
+            stream.write_text("seq,target_kind,point_id\n" + "".join(
+                f"{seq},student_point,{p}\n" for seq, p in enumerate(points, 1)))
+            return main(["unlearn", "--system", str(out), "--requests", str(stream)])
+
+        assert unlearn(one, point) == 0
+        assert unlearn(stopped, point, 999999) == 3
+        ledger = (one / "ledger_unlearn.csv").read_text().splitlines()
+        assert len(ledger) > 1 and ledger[1].startswith("student_retrain,")
+        assert (stopped / "ledger_unlearn.csv").read_text().splitlines() == ledger
+
     def test_corrupt_store_exits_3(self, config_path, tmp_path, capsys):
         out = _train(config_path, tmp_path / "run")
         log = out / "checkpoints" / "store.log"

@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from purgekd import (CheckpointStore, ConfigError, ModelArch, ParseError,
-                     PartitionError, SyntheticSpec, TrainHyper, UnlearnRequest,
-                     apply_request, gen_synthetic, load_system, save_manifest,
-                     snapshot, train_system, verify_exactness)
+from purgekd import (CheckpointKey, CheckpointStore, ConfigError, CostLedger,
+                     ModelArch, ParseError, PartitionError, StorageError,
+                     SyntheticSpec, TrainHyper, UnlearnRequest, apply_request,
+                     gen_synthetic, load_system, save_manifest, snapshot,
+                     train_system, verify_exactness)
+from purgekd.checkpoints import _FRAME, _HEADER, retrain
+from purgekd.cli import main
 from purgekd.system import MANIFEST_VERSION
 
 QUICKSTART_DATA = gen_synthetic(SyntheticSpec(num_classes=3, points_per_class=200,
@@ -386,3 +389,102 @@ class TestManifest:
         apply_request(loaded, request)
         verdict = verify_exactness(before, request, loaded)
         assert verdict.passed, verdict.failures
+
+
+def _round_keys(system) -> list:
+    """The key of every round of both roles: the live set of a store."""
+    return [CheckpointKey(net.role, k, l, j)
+            for net in (system.teacher, system.student)
+            for k in range(1, net.plan.num_shards + 1)
+            for l in range(1, net.plan.chunks_in_shard(k) + 1)
+            for j in range(1, net.plan.slices_in_chunk(k, l) + 1)]
+
+
+def _live_size(system) -> int:
+    """Bytes of a log holding one record per round key and nothing else."""
+    param_count = {"teacher": system.teacher.arch.param_count,
+                   "student": system.student.arch.param_count}
+    return sum(_FRAME.size + _HEADER.size + 8 * param_count[key.role]
+               for key in _round_keys(system))
+
+
+class TestLiveStore:
+    """A manifest save is the commit point, and it compacts the store to
+    the latest generation of every round key."""
+
+    def test_every_commit_leaves_the_live_set(self, small_system, tmp_path):
+        """A student-side, a teacher-side and a simultaneous removal, each
+        committed, leave one record per round key, none for an initial
+        state, each equal to a scratch retrain's checkpoint."""
+        system, path = small_system, tmp_path / "system.json"
+        student, teacher = system.student.plan, system.teacher.plan
+        victims = [("student_point", lambda: student.slice_ids(1, 1, 1)[0]),
+                   ("teacher_point", lambda: teacher.slice_ids(3, 1, 2)[0]),
+                   ("simultaneous", lambda: next(p for p in student.slice_ids(2, 2, 1)
+                                                 if p in teacher))]
+        for seq, (kind, pick) in enumerate(victims, 1):
+            apply_request(system, UnlearnRequest(seq, kind, pick()))
+            save_manifest(system, path, "ckpt")
+
+        keys = _round_keys(system)
+        reopened = CheckpointStore(system.store.root)
+        assert set(reopened.keys()) == set(keys)
+        assert reopened.storage_report().total_count == len(keys)
+        assert (system.store.root / "store.log").stat().st_size == _live_size(system)
+        fresh = CheckpointStore(tmp_path / "fresh")
+        for net in (system.teacher, system.student):
+            for k in range(1, net.plan.num_shards + 1):
+                retrain(net, k, fresh, CostLedger(), "initial_train")
+        for key in keys:
+            got, want = reopened.load(key).state, fresh.load(key).state
+            assert got.params.tobytes() == want.params.tobytes()
+            assert got.rng_cursor == want.rng_cursor
+
+    def test_commit_of_a_fresh_system_leaves_the_store_untouched(self, small_system,
+                                                                 tmp_path):
+        """Training stores the live set only, so its first commit has
+        nothing to compact and neither reads nor writes the log."""
+        log = small_system.store.root / "store.log"
+        assert log.stat().st_size == _live_size(small_system)
+        data, stat = log.read_bytes(), log.stat()
+        save_manifest(small_system, tmp_path / "system.json", "ckpt")
+        after = log.stat()
+        assert log.read_bytes() == data
+        assert (after.st_ino, after.st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+
+    def test_failed_compaction_keeps_the_commit(self, small_system, tmp_path,
+                                                monkeypatch):
+        """A compaction whose rename fails raises StorageError after the
+        manifest is committed, leaves the log's bytes as they were and no
+        temporary file, and the run reloads and passes --verify."""
+        system, path = small_system, tmp_path / "system.json"
+        save_manifest(system, path, "ckpt")
+        victim = system.student.plan.slice_ids(1, 1, 1)[0]
+        apply_request(system, UnlearnRequest(1, "student_point", victim))
+        log = system.store.root / "store.log"
+        appended = log.read_bytes()
+        rename = os.replace
+
+        def refused(src, dst):
+            if Path(dst).name == "store.log":
+                raise OSError("rename refused")
+            rename(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", refused)
+            with pytest.raises(StorageError, match="cannot compact"):
+                save_manifest(system, path, "ckpt")
+        assert json.loads(path.read_text())["student"]["plan"]["removed"] == [victim]
+        assert log.read_bytes() == appended
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+        loaded = load_system(path)
+        for a, b in zip(loaded.student.constituents + loaded.teacher.members,
+                        system.student.constituents + system.teacher.members):
+            assert a.params.tobytes() == b.params.tobytes()
+        stream = tmp_path / "stream.csv"
+        stream.write_text("seq,target_kind,point_id\n2,simultaneous,"
+                          f"{loaded.teacher.plan.slice_ids(2, 1, 1)[0]}\n")
+        assert main(["unlearn", "--system", str(path), "--requests", str(stream),
+                     "--out", str(tmp_path / "out"), "--verify"]) == 0
+        assert log.stat().st_size == _live_size(load_system(path))

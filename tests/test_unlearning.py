@@ -268,7 +268,8 @@ class TestSimultaneousRemoval:
 class TestReportsPinned:
     """The report of one request of each kind on the standard small system,
     fixed to the last field (wall time aside): the checkpoints reverted to
-    and their order, the chunks relabeled, the steps and the inference."""
+    and their order (an initial state, derived from its seed, as
+    generation 0), the chunks relabeled, the steps and the inference."""
 
     CASES = {
         # student point at (k, l, j) = (2, 1, 2)
@@ -279,7 +280,7 @@ class TestReportsPinned:
         # teacher 3, first in constituent 2's subensemble
         "teacher_point": (("teacher_point", 180), {
             "affected_teacher_members": [3], "affected_student_constituents": [2],
-            "reverted_to": ["teacher:3:1:1@1", "student:2:0:0@1"],
+            "reverted_to": ["teacher:3:1:1@1", "student:2:0:0@0"],
             "chunks_relabeled": [[2, 1], [2, 2]],
             "teacher_steps": 354, "student_steps": 1200,
             "relabel_inference": 180}),
@@ -295,7 +296,7 @@ class TestReportsPinned:
             "affected_teacher_members": [3],
             "affected_student_constituents": [1, 2],
             "reverted_to": ["teacher:3:1:1@1", "student:1:2:1@1",
-                            "student:2:0:0@1"],
+                            "student:2:0:0@0"],
             "chunks_relabeled": [[2, 1], [2, 2]],
             "teacher_steps": 354, "student_steps": 1676,
             "relabel_inference": 180}),
@@ -303,7 +304,7 @@ class TestReportsPinned:
         # of constituent 1 from the earlier start covers both sides
         "misaligned_one_constituent": (("simultaneous", 65), {
             "affected_teacher_members": [2], "affected_student_constituents": [1],
-            "reverted_to": ["teacher:2:0:0@1", "student:1:1:1@1"],
+            "reverted_to": ["teacher:2:0:0@0", "student:1:1:1@1"],
             "chunks_relabeled": [[1, 2]],
             "teacher_steps": 528, "student_steps": 1068,
             "relabel_inference": 120}),

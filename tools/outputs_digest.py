@@ -8,8 +8,10 @@ saves and reloads it, then applies the seed's request stream. The digest
 covers every parameter and rng cursor, every soft-label chunk's ids and
 bits, both plans' ``raw_slices()`` and each report without ``wall_time``,
 taken after set-up, after the reload and after every request, then the
-final ``store.log`` and ``system.json`` bytes. ``--points-per-class``
-shrinks the data for a quick run.
+final ``store.log`` and ``system.json`` bytes. The final save compacts the
+store, so that ``store.log`` is the live set: the latest generation of every
+round checkpoint, no initial state. ``--points-per-class`` shrinks the data
+for a quick run.
 """
 
 from __future__ import annotations
