@@ -1,19 +1,26 @@
 """Lossless on-disk persistence of model states, and the one checkpointed
 lifecycle of both roles. The store takes and returns states: ``save(key,
 state)`` and ``load`` give a ``CheckpointRecord``, the state with its key,
-generation and encoded size. ``retrain`` runs model k's slice rounds from its
-seeded initial state, ``revert_and_replay`` from the checkpoint
-``revert_key`` names, both through ``replay``. A role (``TeacherEnsemble``,
-``StudentNetwork``) supplies only ``role``, ``seed_domain`` and ``run_round``.
-The initial state is never stored: its seed fixes it, so ``(role, k, 0, 0)``
+generation and encoded size. ``retrain`` runs several models' slice rounds
+from their seeded initial states: it groups the models whose rounds have
+equal sizes and epochs and trains each group in lockstep, one
+``model.train_stack`` call per round, writing checkpoints and ledger rows in
+the order one-at-a-time training writes them. ``revert_and_replay`` runs one
+model from the checkpoint ``revert_key`` names, through ``replay``, one
+``run_round`` per round. A role (``TeacherEnsemble``, ``StudentNetwork``)
+supplies ``role``, ``seed_domain``, ``rounds`` (its model's rounds, after any
+check of the data they read), ``round_data`` (one round's training arrays)
+and ``run_round`` (one round trained, accounted and checkpointed). The
+initial state is never stored: its seed fixes it, so ``(role, k, 0, 0)``
 only names it, and a revert to it reports generation 0. A numpy that draws
 other initial values fails the manifest's kernel fingerprint, whose probe
 starts from ``init_model``, so its load is refused.
 
 Layout: one append-only log, ``<root>/store.log``. Saving a logical key again
 appends its record under the next generation; ``prune`` compacts the log to
-the latest generation of every key (``system.save_manifest`` calls it at every
-commit). The index (key -> generation -> frame offset and size) lives in
+the latest generation of every round key (``system.save_manifest`` calls it
+at every commit) and drops any initial-state record an older log still
+holds. The index (key -> generation -> frame offset and size) lives in
 memory; opening a store rebuilds it in one pass over the log.
 
 Frame, little-endian: payload length (uint32), CRC-32 of the payload
@@ -52,6 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import model
 from .costmodel import CostLedger
 from .errors import NotFoundError, StorageError
 from .model import ModelArch, ModelState, init_model, mix_seed, stream_hyper
@@ -111,16 +119,22 @@ def revert_key(role: str, plan, k: int, l: int, j: int) -> CheckpointKey:
     return CheckpointKey(role, k, 0, 0)
 
 
+def plan_rounds(plan, k: int) -> list[tuple[int, int]]:
+    """Rounds (l, j) of shard k of plan, in training order."""
+    return [(l, j) for l in range(1, plan.chunks_in_shard(k) + 1)
+            for j in range(1, plan.slices_in_chunk(k, l) + 1)]
+
+
 def replay(net, state: ModelState, k: int, l: int, j: int,
            store: CheckpointStore | None, ledger: CostLedger, phase: str):
     """Run model k of net from state, the state before round (l, j), through
     its last round; each ``net.run_round`` trains, accounts its steps under
     phase and, unless store is None, checkpoints. Returns (state, steps)."""
-    plan, steps = net.plan, 0
-    epochs = net.budget.epochs_for(plan.total_slices_in_shard(k))
+    rounds, steps = net.rounds(k), 0
+    epochs = net.budget.epochs_for(len(rounds))
     hyper_k = stream_hyper(net.hyper, net.seed_domain, k)
-    for chunk in range(l, plan.chunks_in_shard(k) + 1):
-        for q in range(j if chunk == l else 1, plan.slices_in_chunk(k, chunk) + 1):
+    for chunk, q in rounds:
+        if (chunk, q) >= (l, j):
             state, n = net.run_round(state, k, chunk, q, epochs, hyper_k, store, ledger, phase)
             steps += n
     return state, steps
@@ -130,10 +144,43 @@ def _initial_state(net, k: int) -> ModelState:
     return init_model(net.arch, mix_seed(net.seed, net.seed_domain, k))
 
 
-def retrain(net, k: int, store: CheckpointStore | None, ledger: CostLedger,
-            phase: str) -> ModelState:
-    """Model k of net from its seeded initial state through every round."""
-    return replay(net, _initial_state(net, k), k, 1, 1, store, ledger, phase)[0]
+def retrain(net, ks, store: CheckpointStore | None, ledger: CostLedger,
+            phase: str) -> list[ModelState]:
+    """Models ks of net from their seeded initial states through every
+    round, each bit for bit as ``replay`` would train it alone.
+
+    Models whose rounds have equal sizes and epochs form a group that trains
+    in lockstep: one ``model.train_stack`` call per round, each model's data
+    read by ``net.round_data`` and shuffled by its own stream. Each round's
+    ledger row and checkpoint (none when store is None) are written in the
+    order one-at-a-time training writes them, model by model in ks order and
+    each model's rounds in order, so the store's log and the ledger do not
+    depend on the grouping."""
+    ks = list(ks)
+    rounds, groups = {}, {}
+    for k in ks:
+        rounds[k] = net.rounds(k)
+        sizes = tuple(net.plan.chunk_bounds(k, l)[j] for l, j in rounds[k])
+        groups.setdefault((sizes, net.budget.epochs_for(len(sizes))), []).append(k)
+    trained, final = {}, {}
+    for (sizes, epochs), group in groups.items():
+        states = [_initial_state(net, k) for k in group]
+        hypers = [stream_hyper(net.hyper, net.seed_domain, k) for k in group]
+        history = []
+        for r in range(len(sizes)):
+            states = model.train_stack(
+                states, (net.round_data(k, *rounds[k][r]) for k in group), epochs, hypers)
+            history.append(states)
+        for i, k in enumerate(group):
+            trained[k] = [(n * epochs, stack[i]) for n, stack in zip(sizes, history)]
+        while len(final) < len(ks) and ks[len(final)] in trained:
+            k = ks[len(final)]
+            for (l, j), (steps, state) in zip(rounds[k], trained.pop(k)):
+                ledger.add(phase, net.role, k, steps)
+                if store is not None:
+                    store.save(CheckpointKey(net.role, k, l, j), state)
+            final[k] = state
+    return [final[k] for k in ks]
 
 
 def revert_and_replay(net, k: int, l: int, j: int, store: CheckpointStore,
@@ -328,10 +375,13 @@ class CheckpointStore:
         return StorageTotals(len(gens), sum(gens))
 
     def prune(self) -> int:
-        """Compact the log to the latest generation of every key, so superseded
-        bytes leave the disk; returns the number of records removed. A log
-        with none to remove is neither read nor written."""
-        if all(len(gens) == 1 for gens in self._index.values()):
+        """Compact the log to the latest generation of every round key, so
+        superseded bytes leave the disk, and so do initial-state records
+        under ``(role, k, 0, 0)``, which logs written before initial states
+        were derived from their seeds still hold; returns the number of
+        records removed. A log with none to remove is neither read nor
+        written."""
+        if all(key.l and len(gens) == 1 for key, gens in self._index.items()):
             return 0
         try:
             data = self.log.read_bytes()
@@ -339,7 +389,8 @@ class CheckpointStore:
             raise StorageError(f"cannot read {self.log}: {exc}") from exc
         self._check_size(len(data))
         latest = sorted(((gens[max(gens)], key, max(gens))
-                         for key, gens in self._index.items()), key=lambda t: t[0])
+                         for key, gens in self._index.items() if key.l),
+                        key=lambda t: t[0])
         index, frames, end = {}, [], 0
         for (off, size), key, generation in latest:
             frames.append(data[off:off + _FRAME.size + size])

@@ -10,15 +10,25 @@ depends only on its own input row and not on how many rows share the batch.
 (A BLAS matmul picks its blocking by shape, so dropping one row could change
 the bits of the others.)
 
-Training is bias-folded, class-major and BLAS: the flat parameter layout
-stores each layer's bias right after its weights, so each layer is one
-(inputs + 1, outputs) matrix view of the parameters. ``train`` lays the
-permuted features out once per call as columns over a ones row, and every
-SGD step is one BLAS product per layer per direction, activations kept as
-(classes, batch) so the softmax reduces along axis 0, with the update written
-into those views in place. Replay always sees the batch shapes of the
-original run, so it reproduces the original bits on the same BLAS kernel;
-``kernel_fingerprint`` lets a saved run detect a different one.
+Training is bias-folded, class-major, stacked and BLAS: the flat parameter
+layout stores each layer's bias right after its weights, so each layer is
+one (inputs + 1, outputs) matrix view of the parameters, and a stack of M
+models with one architecture and example count is an (M, P) array whose
+views are (M, inputs + 1, outputs) stacks. ``train_stack`` lays each model's
+permuted features out once per call as columns over a ones row, straight
+into one (M, d + 1, n) array, and its targets into one (M, K, n) array.
+Every SGD step then makes one stacked call per layer operation (a BLAS
+product per layer per direction, activations kept as (classes, batch) so
+the softmax reduces over classes) into out= buffers made once per batch
+width and reused across batches and epochs, with the update written into
+the layer views in place. numpy's matmul makes the same BLAS call for each
+model of a stack as for that model alone, so M models in lockstep get the
+bits each would get alone; ``train`` is the M = 1 case. Training runs on
+one BLAS thread (set through the OpenBLAS that numpy links, then restored),
+since a thread count can change a product's bits. Replay always sees the
+batch shapes of the original run, so it reproduces the original bits on the
+same BLAS kernel; ``kernel_fingerprint`` lets a saved run detect a
+different one.
 
 Aggregation is correctly rounded and vectorized: every element of an
 ensemble mean is ``fsum(member values) / M``, computed with error-free
@@ -30,9 +40,11 @@ the error bound, non-finite values) fall back to a per-element
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -49,6 +61,9 @@ SEED_TEACHER = 0
 SEED_STUDENT = 1
 SEED_TEACHER_PLAN = 2
 SEED_STUDENT_PLAN = 3
+
+# What sets the BLAS thread count where training cannot pin it to one.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def mix_seed(*parts) -> int:
@@ -135,16 +150,18 @@ def init_model(arch: ModelArch, seed: int) -> ModelState:
 
 
 def _layers(arch: ModelArch, params: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Views of the flat parameters, one bias-folded (inputs + 1, outputs)
+    """Views of the flat parameters (the last axis of params, so a stack of
+    models gives a stack of matrices), one bias-folded (inputs + 1, outputs)
     matrix per layer: the layout stores each layer's bias right after its
     weights, so the bias is the matrix's last row. Writing to a view writes
     to params."""
-    d, k = arch.feature_dim, arch.num_classes
+    d, k, lead = arch.feature_dim, arch.num_classes, params.shape[:-1]
     if arch.kind == "softmax_linear":
-        return (params.reshape(d + 1, k),)
-    cut = (d + 1) * arch.hidden_units
-    return (params[:cut].reshape(d + 1, arch.hidden_units),
-            params[cut:].reshape(arch.hidden_units + 1, k))
+        return (params.reshape(*lead, d + 1, k),)
+    h = arch.hidden_units
+    cut = (d + 1) * h
+    return (params[..., :cut].reshape(*lead, d + 1, h),
+            params[..., cut:].reshape(*lead, h + 1, k))
 
 
 def _rowwise(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -195,59 +212,124 @@ def mean_distill_loss(state: ModelState, features, soft_labels, hard_labels,
     return float(-(targets * np.log(np.maximum(p, LOSS_CLAMP))).sum(axis=1).mean())
 
 
-def _gradient(layers, xb: np.ndarray, tb: np.ndarray, hb: np.ndarray | None):
-    """Batch-summed gradient of the distillation loss, one array per layer
-    in the bias-folded layout of ``layers``.
+def _blas_threads():
+    """(get, set) functions of the thread count of the OpenBLAS that numpy
+    links, found through ctypes, or None when numpy's build exports none of
+    the known pairs (another BLAS, or OpenBLAS under other symbol names)."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):  # numpy before 2.0, or no shared library
+        return None
+    for suffix in ("64_", ""):
+        for prefix in ("scipy_openblas", "openblas"):
+            get, put = (getattr(lib, f"{prefix}_{op}_num_threads{suffix}", None)
+                        for op in ("get", "set"))
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
 
-    Class-major: xb is (d + 1, b), the batch's features as columns over a
-    ones row; tb is (K, b), their targets. hb is (h + 1, b) scratch for the
-    hidden activations whose last row is ones (None for softmax_linear).
-    Each layer's gradient is one product; dividing by b is left to the
-    caller's step size.
-    """
-    if hb is None:
+
+BLAS_THREADS = _blas_threads()
+
+
+def _step_operands(arch: ModelArch, layers, lead: tuple, b: int) -> tuple:
+    """The arrays one SGD step of a stack of models (lead its leading shape)
+    on a b-column batch works on, after its batch: each layer view and its
+    transpose, out= buffers for the logits z, z transposed and their
+    reduction row r, then one gradient per layer; for the hidden layer also
+    its activations over a ones row (hb), the activations themselves, their
+    back-propagated gradient gh, gh transposed and an (h, b) scratch array."""
+    z = np.empty(lead + (arch.num_classes, b))
+    zt, r = z.swapaxes(-1, -2), np.empty(lead + (1, b))
+    if arch.kind == "softmax_linear":
         (w,) = layers
-        g = _softmax(w.T @ xb, axis=0)
-        g -= tb
-        return (xb @ g.T,)
+        return w, w.swapaxes(-1, -2), z, zt, r, np.empty(w.shape)
     w1, w2 = layers
-    h = hb[:-1]
-    np.matmul(w1.T, xb, out=h)
+    h = arch.hidden_units
+    hb, gh = np.ones(lead + (h + 1, b)), np.empty(lead + (h, b))
+    return (w1, w1.swapaxes(-1, -2), w2, w2.swapaxes(-1, -2), w2[..., :-1, :], z, zt, r,
+            np.empty(w1.shape), np.empty(w2.shape), hb, hb[..., :-1, :], gh,
+            gh.swapaxes(-1, -2), np.empty(lead + (h, b)))
+
+
+def _softmax_step(xb, tb, step, w, wt, z, zt, r, g) -> None:
+    """One SGD step of stacked softmax-linear models: the batch-summed
+    gradient of the distillation loss, written into g, scaled by step and
+    subtracted from the layer view w in place."""
+    np.matmul(wt, xb, out=z)
+    np.maximum.reduce(z, axis=-2, keepdims=True, out=r)
+    z -= r
+    np.exp(z, out=z)
+    np.add.reduce(z, axis=-2, keepdims=True, out=r)
+    z /= r
+    z -= tb
+    np.matmul(xb, zt, out=g)
+    g *= step
+    w -= g
+
+
+def _hidden_step(xb, tb, step, w1, w1t, w2, w2t, w2h, z, zt, r, g1, g2, hb, h, gh,
+                 ght, tmp) -> None:
+    """_softmax_step for stacked one-hidden-layer models: tanh activations
+    in h, the rows of hb above its last row of ones, back-propagated through
+    w2h, the rows of w2 above its bias row."""
+    np.matmul(w1t, xb, out=h)
     np.tanh(h, out=h)
-    g = _softmax(w2.T @ hb, axis=0)
-    g -= tb
-    gh = w2[:-1] @ g
-    gh *= 1.0 - h * h
-    return xb @ gh.T, hb @ g.T
+    np.matmul(w2t, hb, out=z)
+    np.maximum.reduce(z, axis=-2, keepdims=True, out=r)
+    z -= r
+    np.exp(z, out=z)
+    np.add.reduce(z, axis=-2, keepdims=True, out=r)
+    z /= r
+    z -= tb
+    np.matmul(w2h, z, out=gh)
+    np.multiply(h, h, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    gh *= tmp
+    np.matmul(xb, ght, out=g1)
+    np.matmul(hb, zt, out=g2)
+    g1 *= step
+    w1 -= g1
+    g2 *= step
+    w2 -= g2
 
 
-def _sgd(arch: ModelArch, params: np.ndarray, x: np.ndarray, soft: np.ndarray,
-         hard: np.ndarray, epochs: int, hyper: TrainHyper, cursor: int) -> None:
-    """train's kernel: epochs of SGD on validated arrays, updating params in
-    place through its bias-folded layer views."""
-    n, d = x.shape
-    perm = np.random.default_rng(mix_seed(hyper.seed, cursor)).permutation(n)
-    xt = np.ones((d + 1, n))
-    xt[:d] = x[perm].T
-    tt = np.ascontiguousarray(soft[perm].T)
-    a = hyper.hard_label_weight
-    if a:
-        tt *= 1.0 - a
-        tt[hard[perm], np.arange(n)] += a
+def _sgd(arch: ModelArch, params: np.ndarray, xt: np.ndarray, tt: np.ndarray,
+         epochs: int, batch_size: int, learning_rate: float) -> None:
+    """The training kernel: epochs of SGD for M stacked models in lockstep.
+
+    params is (M, P), updated in place through its bias-folded layer views;
+    xt is (M, d + 1, n), each model's permuted features as columns over a
+    ones row; tt is (M, K, n), their targets. Batches are consecutive
+    column runs; each step is one stacked call per layer operation into
+    out= buffers made once per batch width, so every model gets the BLAS
+    calls it would get alone. Runs on one BLAS thread when the library
+    lets the thread count be set, restoring the caller's count after.
+    """
+    if len(xt) == 1:  # one model: the same calls without the stack axis, a little faster
+        params, xt, tt = params[0], xt[0], tt[0]
+    n, lead = xt.shape[-1], xt.shape[:-2]
     layers = _layers(arch, params)
-    scratch = {}
-    batches = []
-    for s0 in range(0, n, hyper.batch_size):
-        xb = xt[:, s0:s0 + hyper.batch_size]
-        b = xb.shape[1]
-        if arch.kind == "one_hidden_layer" and b not in scratch:
-            scratch[b] = np.ones((arch.hidden_units + 1, b))
-        batches.append((xb, tt[:, s0:s0 + b], scratch.get(b), hyper.learning_rate / b))
-    for _ in range(epochs):
-        for xb, tb, hb, step in batches:
-            for w, g in zip(layers, _gradient(layers, xb, tb, hb)):
-                g *= step
-                w -= g
+    step = _softmax_step if arch.kind == "softmax_linear" else _hidden_step
+    operands, batches = {}, []
+    for s0 in range(0, n, batch_size):
+        b = min(batch_size, n - s0)
+        if b not in operands:
+            operands[b] = _step_operands(arch, layers, lead, b)
+        batches.append((xt[..., s0:s0 + b], tt[..., s0:s0 + b], learning_rate / b,
+                        operands[b]))
+    threads = BLAS_THREADS[0]() if BLAS_THREADS else 1
+    if threads != 1:
+        BLAS_THREADS[1](1)
+    try:
+        for _ in range(epochs):
+            for xb, tb, step_size, ops in batches:
+                step(xb, tb, step_size, *ops)
+    finally:
+        if threads != 1:
+            BLAS_THREADS[1](threads)
 
 
 def train(state: ModelState, features, soft_labels, hard_labels, epochs: int,
@@ -257,25 +339,60 @@ def train(state: ModelState, features, soft_labels, hard_labels, epochs: int,
     One permutation, seeded by (hyper.seed, state.rng_cursor), is drawn at
     call start and reused every epoch; batches are consecutive runs of that
     order. epochs=0 returns an unchanged copy, cursor included; otherwise the
-    returned state's cursor advances by one.
+    returned state's cursor advances by one. The one-model case of
+    ``train_stack``.
     """
+    return train_stack([state], [(features, soft_labels, hard_labels)], epochs,
+                       [hyper])[0]
+
+
+def train_stack(states, rounds, epochs: int, hypers) -> list[ModelState]:
+    """``train`` for M models in lockstep, bit for bit as if each were
+    trained alone: states[i] trains on the i-th (features, soft_labels,
+    hard_labels) of rounds, shuffled by hypers[i]. rounds is read one model
+    at a time, each permuted straight into the stacked class-major buffers,
+    so it may be a generator. The models share one architecture, example
+    count, learning rate and batch size."""
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     if epochs == 0:
-        return state.copy()
-    x = np.asarray(features, dtype=np.float64)
-    soft = np.asarray(soft_labels, dtype=np.float64)
-    hard = np.asarray(hard_labels, dtype=np.int64)
-    n = len(x)
-    if n == 0:
-        raise ValueError("cannot train on an empty example list")
-    if x.ndim != 2 or x.shape[1] != state.arch.feature_dim:
-        raise DimensionError(f"features must be (n, {state.arch.feature_dim})")
-    if soft.shape != (n, state.arch.num_classes) or hard.shape != (n,):
-        raise DimensionError("label arrays do not match the example count")
-    params = state.params.copy()
-    _sgd(state.arch, params, x, soft, hard, epochs, hyper, state.rng_cursor)
-    return ModelState(state.arch, params, state.rng_cursor + 1)
+        return [state.copy() for state in states]
+    arch, hyper = states[0].arch, hypers[0]
+    d, k, m = arch.feature_dim, arch.num_classes, len(states)
+    params = np.empty((m, arch.param_count))
+    xt = tt = None
+    for i, (state, hyper_i, (features, soft_labels, hard_labels)) in enumerate(
+            zip(states, hypers, rounds, strict=True)):
+        if state.arch != arch or (hyper_i.learning_rate, hyper_i.batch_size) != (
+                hyper.learning_rate, hyper.batch_size):
+            raise ValueError("stacked models need one architecture, learning rate "
+                             "and batch size")
+        x = np.asarray(features, dtype=np.float64)
+        soft = np.asarray(soft_labels, dtype=np.float64)
+        hard = np.asarray(hard_labels, dtype=np.int64)
+        n = len(x)
+        if n == 0:
+            raise ValueError("cannot train on an empty example list")
+        if x.ndim != 2 or x.shape[1] != d:
+            raise DimensionError(f"features must be (n, {d})")
+        if soft.shape != (n, k) or hard.shape != (n,):
+            raise DimensionError("label arrays do not match the example count")
+        if xt is None:
+            xt, tt = np.empty((m, d + 1, n)), np.empty((m, k, n))
+            xt[:, d] = 1.0
+        elif n != xt.shape[2]:
+            raise DimensionError("stacked models need one example count")
+        params[i] = state.params
+        perm = np.random.default_rng(mix_seed(hyper_i.seed, state.rng_cursor)).permutation(n)
+        xt[i, :d] = x.take(perm, axis=0).T
+        t = tt[i]
+        t[...] = soft.take(perm, axis=0).T
+        a = hyper_i.hard_label_weight
+        if a:
+            t *= 1.0 - a
+            t[hard[perm], np.arange(n)] += a
+    _sgd(arch, params, xt, tt, epochs, hyper.batch_size, hyper.learning_rate)
+    return [ModelState(arch, params[i], s.rng_cursor + 1) for i, s in enumerate(states)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -288,11 +405,12 @@ def kernel_fingerprint(arch: ModelArch, batch_size: int) -> str:
 
     Replay is exact only when it runs the kernels the checkpoints were made
     with; a different BLAS kernel, numpy build or training code changes this
-    digest. A change of BLAS thread count can escape it: at batch 1024,
-    training on two threads and replaying on one changed the bits while the
-    digest stayed the same. Computed once per process per argument pair,
-    through the kernels themselves rather than the public functions, so it
-    adds no training or inference call.
+    digest. Training pins itself to one BLAS thread, so the caller's thread
+    count cannot change its bits; on a build whose thread count cannot be
+    set, the digest also covers the thread settings of the environment and
+    the CPU count. Computed once per process per argument pair, through
+    ``train_stack`` and the inference kernel rather than ``train`` and
+    ``predict_batch``, so it adds no call to either.
     """
     rng = np.random.default_rng(mix_seed(arch.feature_dim, arch.num_classes,
                                          arch.hidden_units or 0, batch_size))
@@ -300,11 +418,15 @@ def kernel_fingerprint(arch: ModelArch, batch_size: int) -> str:
     x = rng.normal(size=(n, arch.feature_dim))
     soft = rng.dirichlet(np.ones(arch.num_classes), size=n)
     hard = rng.integers(0, arch.num_classes, size=n)
-    params = init_model(arch, mix_seed(n)).params
-    _sgd(arch, params, x, soft, hard, 2,
-         TrainHyper(learning_rate=0.5, batch_size=batch_size, hard_label_weight=0.5), 0)
+    hyper = TrainHyper(learning_rate=0.5, batch_size=batch_size, hard_label_weight=0.5)
+    params = train_stack([init_model(arch, mix_seed(n))], [(x, soft, hard)], 2,
+                         [hyper])[0].params
     probs = _softmax(_logits(arch, params, x), axis=1)
-    return hashlib.blake2b(params.tobytes() + probs.tobytes(), digest_size=16).hexdigest()
+    h = hashlib.blake2b(params.tobytes() + probs.tobytes(), digest_size=16)
+    if BLAS_THREADS is None:
+        h.update(repr([os.environ.get(v) for v in THREAD_VARIABLES]
+                      + [os.cpu_count()]).encode())
+    return h.hexdigest()
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray):

@@ -7,11 +7,14 @@ Chunk l is soft-labeled by the subensemble of the first l teachers mapped to
 k; chunks are further sliced, and the constituent trains on its cumulative
 data (all earlier chunks plus slices 1..j of the current chunk) for the
 per-slice epoch budget, checkpointing after every round. The network is the
-student role of the lifecycle in ``checkpoints``: its ``run_round`` is
-``run_student_round`` on its cached soft labels; ``checkpoints.retrain``
-runs initial training and verification, ``checkpoints.revert_and_replay``
-unlearning. Two baseline labeling modes share this path: naive_sisa labels
-every chunk with the full ensemble, single_teacher chunk l with teacher l.
+student role of the lifecycle in ``checkpoints``: it supplies ``rounds``
+(which checks once per replay that the cached soft labels follow the plan's
+order), ``round_data`` and ``run_round``, which is ``run_student_round`` on
+the cached labels; ``checkpoints.retrain`` runs initial training and
+verification, constituents of one shape in lockstep;
+``checkpoints.revert_and_replay`` runs unlearning, one constituent at a
+time. Two baseline labeling modes share this path: naive_sisa labels every
+chunk with the full ensemble, single_teacher chunk l with teacher l.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import model
-from .checkpoints import CheckpointKey, CheckpointStore, retrain
+from .checkpoints import CheckpointKey, CheckpointStore, plan_rounds, retrain
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan, even_split_sizes, make_partition
 from .errors import NotFoundError
@@ -128,6 +131,22 @@ class StudentNetwork:
                 for k in range(1, mapping.num_students + 1)
                 for l in range(1, mapping.chunk_count(k) + 1)}
 
+    def rounds(self, k):
+        """Rounds (l, j) of constituent k, in order, once the cached soft
+        labels of its chunks are checked to follow the plan's order: rounds
+        slice them by position."""
+        ids = self.dataset.ids[self.plan.shard_rows(k)]
+        for l in range(1, self.plan.chunks_in_shard(k) + 1):
+            bounds = self.plan.chunk_bounds(k, l)
+            if not np.array_equal(self.soft_labels[(k, l)].ids, ids[bounds[0]:bounds[-1]]):
+                raise ValueError(f"soft labels of chunk {k},{l} do not follow the "
+                                 f"plan's order")
+        return plan_rounds(self.plan, k)
+
+    def round_data(self, k, l, j):
+        """(features, soft labels, hard labels) of round (l, j) of constituent k."""
+        return _gather_round(self.plan, self.dataset, self.soft_labels, k, l, j)
+
     def run_round(self, state, k, l, j, epochs, hyper_k, store, ledger, phase):
         """Round (l, j) of constituent k for ``checkpoints.replay``, on the
         cached soft labels."""
@@ -136,26 +155,17 @@ class StudentNetwork:
                                  store, ledger, phase)
 
 
-def _chunk_probs(soft_labels: dict, plan: PartitionPlan, k: int, l: int) -> np.ndarray:
-    """Soft-label rows of chunk (k, l), refused unless they follow the
-    chunk's plan order, since rounds slice them by position."""
-    chunk, b = soft_labels[(k, l)], plan.chunk_bounds(k, l)
-    if not np.array_equal(chunk.ids, plan.dataset.ids[plan.shard_rows(k)[b[0]:b[-1]]]):
-        raise ValueError(f"soft labels of chunk {k},{l} do not follow the plan's order")
-    return chunk.probs
-
-
 def _gather_round(plan: PartitionPlan, dataset: Dataset, soft_labels: dict,
                   k: int, l: int, j: int):
     """Cumulative training arrays (x, soft, hard) for round (l, j): chunks
     1..l-1 in full plus slices 1..j of chunk l, in plan order.
 
     That data is a prefix of shard k, so the gather is one slice of the
-    plan's row index and one slice of each chunk's soft labels; point ids
-    only enter the check that those labels follow the plan's order."""
+    plan's row index and one slice of each chunk's soft labels, which
+    ``StudentNetwork.rounds`` has checked to follow the plan's order."""
     bounds = plan.chunk_bounds(k, l)
-    soft = [_chunk_probs(soft_labels, plan, k, i) for i in range(1, l)]
-    soft.append(_chunk_probs(soft_labels, plan, k, l)[:bounds[j] - bounds[0]])
+    soft = [soft_labels[(k, i)].probs for i in range(1, l)]
+    soft.append(soft_labels[(k, l)].probs[:bounds[j] - bounds[0]])
     rows = plan.shard_rows(k)[:bounds[j]]
     return dataset.features[rows], np.concatenate(soft), dataset.labels[rows]
 
@@ -213,14 +223,15 @@ def train_student_network(dataset: Dataset, teacher_members, slice_counts,
                           seed: int) -> StudentNetwork:
     """Build the structure in the nested shape slice_counts, whose row k
     holds R_{k,l} for each chunk of constituent k (student_structure), then
-    train every constituent from scratch (checkpoints.retrain)."""
+    train every constituent from scratch, those of one shape in lockstep
+    (checkpoints.retrain)."""
     plan, soft_labels = student_structure(
         dataset, slice_counts, mix_seed(seed, SEED_STUDENT_PLAN), (),
         teacher_members, mode, hyper.temperature)
     network = StudentNetwork([], plan, dataset, mode, soft_labels,
                              budget, arch, hyper, seed)
-    network.constituents = [retrain(network, k, store, ledger, "initial_train")
-                            for k in range(1, plan.num_shards + 1)]
+    network.constituents = retrain(network, range(1, plan.num_shards + 1), store,
+                                   ledger, "initial_train")
     return network
 
 
@@ -238,13 +249,10 @@ def loss_trace(network: StudentNetwork, store: CheckpointStore, k: int):
     """Per-round (round index, mean distillation loss over that round's
     cumulative data at round end) for constituent k, read from the latest
     generation of each round checkpoint in store."""
-    plan = network.plan
     trace = []
-    for l in range(1, plan.chunks_in_shard(k) + 1):
-        for j in range(1, plan.slices_in_chunk(k, l) + 1):
-            x, soft, hard = _gather_round(plan, network.dataset,
-                                          network.soft_labels, k, l, j)
-            state = store.load(CheckpointKey("student", k, l, j)).state
-            trace.append((len(trace) + 1, model.mean_distill_loss(
-                state, x, soft, hard, network.hyper.hard_label_weight)))
+    for n, (l, j) in enumerate(network.rounds(k), start=1):
+        x, soft, hard = network.round_data(k, l, j)
+        state = store.load(CheckpointKey("student", k, l, j)).state
+        trace.append((n, model.mean_distill_loss(state, x, soft, hard,
+                                                 network.hyper.hard_label_weight)))
     return trace

@@ -5,9 +5,10 @@ and replay.
 Each member m trains only on shard m: one chunk, R_T slices, cumulative
 slices 1..j for the per-slice epoch budget each round. Its plan is
 ``make_partition`` of the shape [[R_T]] * M. The ensemble is the
-teacher role of the lifecycle in ``checkpoints``: it supplies ``run_round``;
-``checkpoints.retrain`` runs initial training and verification,
-``checkpoints.revert_and_replay`` unlearning.
+teacher role of the lifecycle in ``checkpoints``: it supplies ``rounds``,
+``round_data`` and ``run_round``; ``checkpoints.retrain`` runs initial
+training and verification, members of one shard size in lockstep;
+``checkpoints.revert_and_replay`` runs unlearning, one member at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from . import model
-from .checkpoints import CheckpointKey, CheckpointStore, retrain, revert_and_replay
+from .checkpoints import (CheckpointKey, CheckpointStore, plan_rounds, retrain,
+                          revert_and_replay)
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan, make_partition
 from .model import (SEED_TEACHER, SEED_TEACHER_PLAN, ModelArch, ModelState,
@@ -57,17 +59,25 @@ class TeacherEnsemble:
     def member_count(self) -> int:
         return len(self.members)
 
-    def run_round(self, state, m, l, j, epochs, hyper_m, store, ledger, phase):
-        """Round (1, j) of member m: slices 1..j, a prefix of shard m read by
-        row index, against one-hot targets."""
+    def rounds(self, m):
+        """Rounds (1, j) of member m, in order."""
+        return plan_rounds(self.plan, m)
+
+    def round_data(self, m, l, j):
+        """(features, one-hot targets, labels) of round (l, j) of member m:
+        slices 1..j, a prefix of shard m read by row index."""
         rows = self.plan.shard_rows(m)[:self.plan.chunk_bounds(m, l)[j]]
         hard = self.dataset.labels[rows]
-        state = model.train(state, self.dataset.features[rows],
-                            one_hot(hard, self.dataset.num_classes), hard, epochs, hyper_m)
-        ledger.add(phase, self.role, m, len(rows) * epochs)
+        return self.dataset.features[rows], one_hot(hard, self.dataset.num_classes), hard
+
+    def run_round(self, state, m, l, j, epochs, hyper_m, store, ledger, phase):
+        """Round (l, j) of member m for ``checkpoints.replay``."""
+        x, soft, hard = self.round_data(m, l, j)
+        state = model.train(state, x, soft, hard, epochs, hyper_m)
+        ledger.add(phase, self.role, m, len(x) * epochs)
         if store is not None:
             store.save(CheckpointKey(self.role, m, l, j), state)
-        return state, len(rows) * epochs
+        return state, len(x) * epochs
 
 
 def train_teacher_ensemble(dataset: Dataset, members: int, slices_per_member: int,
@@ -75,12 +85,13 @@ def train_teacher_ensemble(dataset: Dataset, members: int, slices_per_member: in
                            store: CheckpointStore, ledger: CostLedger,
                            seed: int) -> TeacherEnsemble:
     """Partition the dataset into one shard per member and train each member
-    independently on its own shard."""
+    on its own shard, in lockstep where shards are of one size
+    (``checkpoints.retrain``)."""
     plan = make_partition(dataset, [[slices_per_member]] * members,
                           mix_seed(seed, SEED_TEACHER_PLAN))
     ensemble = TeacherEnsemble([], plan, dataset, budget, arch, hyper, seed)
-    ensemble.members = [retrain(ensemble, m, store, ledger, "initial_train")
-                        for m in range(1, members + 1)]
+    ensemble.members = retrain(ensemble, range(1, members + 1), store, ledger,
+                               "initial_train")
     return ensemble
 
 

@@ -13,8 +13,9 @@ affected constituent once from its planned start. Labels of earlier chunks
 are byte-unchanged because their subensembles never contained the updated
 member. Both roles revert and replay through the one checkpointed lifecycle
 (``checkpoints.revert_and_replay``). ``verify_exactness`` takes the models
-it checks from the same plan and retrains each from scratch through the
-same lifecycle (``checkpoints.retrain``), writing no checkpoint.
+it checks from the same plan and retrains them from scratch through the
+same lifecycle (``checkpoints.retrain``, one call per role, so models of one
+shape train in lockstep), writing no checkpoint.
 """
 
 from __future__ import annotations
@@ -189,19 +190,17 @@ def verify_exactness(system_before, request: UnlearnRequest,
         if diffs[-1] != 0.0:
             failures.append(f"{name}: scratch retrain differs by {diffs[-1]}")
 
-    for m in t_ms:
-        compare(f"teacher {m}", retrain(t, m, None, CostLedger(), "initial_train"),
-                t.members[m - 1])
-    for k in s_ks:
-        soft = {(k, l): generate_chunk_labels(net.mode, mapping, t.members,
-                                              net.plan, net.dataset, k, l,
-                                              net.hyper.temperature)
-                for l in range(1, net.plan.chunks_in_shard(k) + 1)}
-        compare(f"constituent {k}", retrain(replace(net, soft_labels=soft), k, None,
-                                            CostLedger(), "initial_train"),
-                net.constituents[k - 1])
-        for (_, l), chunk in soft.items():
-            cached = net.soft_labels[(k, l)]
+    for m, scratch in zip(t_ms, retrain(t, t_ms, None, CostLedger(), "initial_train")):
+        compare(f"teacher {m}", scratch, t.members[m - 1])
+    soft = {(k, l): generate_chunk_labels(net.mode, mapping, t.members, net.plan,
+                                          net.dataset, k, l, net.hyper.temperature)
+            for k in s_ks for l in range(1, net.plan.chunks_in_shard(k) + 1)}
+    scratches = retrain(replace(net, soft_labels=soft), s_ks, None, CostLedger(),
+                        "initial_train")
+    for k, scratch in zip(s_ks, scratches):
+        compare(f"constituent {k}", scratch, net.constituents[k - 1])
+        for l in range(1, net.plan.chunks_in_shard(k) + 1):
+            chunk, cached = soft[(k, l)], net.soft_labels[(k, l)]
             if (not np.array_equal(chunk.ids, cached.ids)
                     or not np.array_equal(chunk.probs, cached.probs)):
                 failures.append(f"constituent {k}: cached labels of chunk {l} "

@@ -22,7 +22,7 @@ from purgekd import (CheckpointStore, CostLedger, Dataset, ModelArch,
                      train_system, train_teacher_ensemble, verify_exactness)
 from purgekd.checkpoints import CheckpointKey, decode_record, encode_record
 from purgekd.costmodel import avg_retrain_steps, brute_force_avg_steps
-from purgekd.model import _gradient, _layers
+from purgekd.model import _sgd
 from purgekd.student import train_student_network as _tsn  # noqa: F401
 
 
@@ -374,10 +374,12 @@ def test_criterion_7_numerical_substrate():
             n = int(rng.integers(1, 7))
             x = rng.normal(size=(n, d))
             targets = rng.dirichlet(np.ones(classes), size=n)
-            hidden_scratch = np.ones((hidden + 1, n)) if hidden else None
-            grads = _gradient(_layers(arch, params), np.vstack([x.T, np.ones(n)]),
-                              targets.T, hidden_scratch)
-            analytic = np.concatenate([g.ravel() for g in grads]) / n
+            # one full-batch training step at learning rate 1 moves the
+            # parameters by minus the mean gradient
+            stepped = params.copy()[None]
+            _sgd(arch, stepped, np.vstack([x.T, np.ones(n)])[None], targets.T[None],
+                 1, n, 1.0)
+            analytic = params - stepped[0]
             numeric = _finite_difference_gradient(arch, params, x, targets)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-4,
                                        atol=1e-7, err_msg=f"{kind} #{case}")

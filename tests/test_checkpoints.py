@@ -88,7 +88,7 @@ class TestLifecycle:
         for k in range(1, net.plan.num_shards + 1):
             size, count = log.stat().st_size, store.storage_report().total_count
             ledger = CostLedger()
-            scratch = retrain(net, k, None, ledger, "initial_train")
+            scratch, = retrain(net, [k], None, ledger, "initial_train")
             assert (log.stat().st_size, store.storage_report().total_count) == \
                 (size, count)
             held = (net.members if role == "teacher" else net.constituents)[k - 1]
@@ -115,7 +115,7 @@ class TestLifecycle:
         net = getattr(small_system, role)
         for k in range(1, net.plan.num_shards + 1):
             store = CheckpointStore(tmp_path / f"{role}{k}")
-            scratch = retrain(net, k, None, CostLedger(), "initial_train")
+            scratch, = retrain(net, [k], None, CostLedger(), "initial_train")
             state, _, reverted = revert_and_replay(net, k, 1, 1, store, CostLedger(),
                                                    f"{role}_retrain")
             assert reverted == f"{role}:{k}:0:0@0"
@@ -240,6 +240,23 @@ class TestStore:
         with pytest.raises(NotFoundError):
             store.load(key, generation=1)
         assert store.storage_report().total_count == 2
+
+    def test_prune_drops_initial_state_records(self, tmp_path):
+        """A log written when initial states were stored under (role, k, 0, 0)
+        loses those records at its next prune; nothing reads them any more."""
+        rng = np.random.default_rng(14)
+        root = tmp_path / "s"
+        store = CheckpointStore(root)
+        key, state = _random_state(rng)
+        init = CheckpointKey(key.role, key.k, 0, 0)
+        store.save(init, state)
+        store.save(key, state)
+        assert store.prune() == 1
+        assert store.keys() == [key]
+        assert CheckpointStore(root).keys() == [key]
+        assert (root / "store.log").stat().st_size == \
+            store.storage_report().total_bytes + FRAME_HEAD
+        assert store.prune() == 0
 
     def test_keys_by_role(self, tmp_path):
         store = CheckpointStore(tmp_path / "s")

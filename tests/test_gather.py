@@ -1,19 +1,20 @@
 """Round gathering by row index equals an id-based gather, bit for bit.
 
 Every training round reads a prefix of its shard through the plan's row
-index. The test captures what each round hands to ``model.train`` while
-every teacher member and constituent retrains (``checkpoints.retrain``, no
-store). The reference rebuilds each round from point ids instead, with its
-own copy of the partition kept as nested id lists: it looks the ids up with
-Dataset.rows_for, and each soft label up by its point id in its chunk.
+index. The test captures the arrays each round hands the training kernel
+(``model.train_stack``) while every teacher member and constituent retrains
+(``checkpoints.retrain``, no store). The reference rebuilds each round from
+point ids instead, with its own copy of the partition kept as nested id
+lists: it looks the ids up with Dataset.rows_for, and each soft label up by
+its point id in its chunk.
 """
 
 import numpy as np
 import pytest
 
 from purgekd import CostLedger, SoftLabelChunk, UnlearnRequest, apply_request
-from purgekd import model, one_hot, student
-from purgekd.checkpoints import retrain
+from purgekd import model, one_hot
+from purgekd.checkpoints import retrain, revert_and_replay
 
 
 def _student_reference(slices, dataset, soft_labels, k, l, j):
@@ -34,18 +35,19 @@ def _teacher_reference(slices, dataset, m, j):
 
 
 def _trained_on(monkeypatch, net, k):
-    """(features, soft, hard) that model.train receives in each round of
-    model k of net, in round order, while k retrains from scratch."""
+    """(features, soft, hard) that each round of model k of net hands the
+    training kernel, in round order, while k retrains from scratch."""
     calls = []
-    train = model.train
+    train_stack = model.train_stack
 
-    def spy(state, features, soft_labels, hard_labels, epochs, hyper):
-        calls.append((features, soft_labels, hard_labels))
-        return train(state, features, soft_labels, hard_labels, epochs, hyper)
+    def spy(states, rounds, epochs, hypers):
+        rounds = list(rounds)
+        calls.extend(rounds)
+        return train_stack(states, rounds, epochs, hypers)
 
     with monkeypatch.context() as patch:
-        patch.setattr(model, "train", spy)
-        retrain(net, k, None, CostLedger(), "initial_train")
+        patch.setattr(model, "train_stack", spy)
+        retrain(net, [k], None, CostLedger(), "initial_train")
     return calls
 
 
@@ -138,9 +140,11 @@ class TestPlanOrderInvariant:
         chunk = net.soft_labels[(1, 1)]
         net.soft_labels[(1, 1)] = SoftLabelChunk(chunk.ids[::-1], chunk.probs[::-1])
         with pytest.raises(ValueError, match="plan's order"):
-            student._gather_round(net.plan, net.dataset, net.soft_labels, 1, 1, 1)
+            net.rounds(1)
+        # a replay from chunk 2 reads chunk 1 in full, so it checks chunk 1 too
         with pytest.raises(ValueError, match="plan's order"):
-            student._gather_round(net.plan, net.dataset, net.soft_labels, 1, 2, 1)
+            revert_and_replay(net, 1, 2, 1, fine_system.store, CostLedger(),
+                              "student_retrain")
 
     def test_stale_labels_refused(self, fine_system):
         """Labels still holding a point the plan dropped are refused rather
@@ -148,4 +152,4 @@ class TestPlanOrderInvariant:
         net = fine_system.student
         net.plan.remove(net.plan.chunk_ids(2, 1)[0])
         with pytest.raises(ValueError, match="plan's order"):
-            student._gather_round(net.plan, net.dataset, net.soft_labels, 2, 1, 1)
+            net.rounds(2)

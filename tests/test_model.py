@@ -20,7 +20,7 @@ from purgekd import (DimensionError, ModelArch, ModelState, SoftLabelChunk,
                      TrainHyper, aggregate_batch, init_model, mean_distill_loss,
                      mix_seed, one_hot, predict_batch, subensemble_soft_labels,
                      train)
-from purgekd.model import _gradient, _layers
+from purgekd.model import _sgd
 
 
 def _random_arch(rng, kind):
@@ -51,12 +51,12 @@ def _fd_gradient(arch, params, x, targets, h=1e-6):
 
 def flat_gradient(arch, params, x, targets):
     """Mean-over-batch gradient wrt the flat parameters, through the
-    training kernel's gradient function (class-major, bias-folded)."""
+    training kernel (class-major, bias-folded): one full-batch step at
+    learning rate 1 moves the parameters by minus that gradient."""
     n = len(x)
-    xt = np.vstack([x.T, np.ones(n)])
-    hb = np.ones((arch.hidden_units + 1, n)) if arch.hidden_units else None
-    grads = _gradient(_layers(arch, params), xt, targets.T, hb)
-    return np.concatenate([g.ravel() for g in grads]) / n
+    stepped = params.copy()[None]
+    _sgd(arch, stepped, np.vstack([x.T, np.ones(n)])[None], targets.T[None], 1, n, 1.0)
+    return params - stepped[0]
 
 
 def reference_train(state, x, soft, hard, epochs, hyper):

@@ -1,5 +1,5 @@
 """tools/outputs_digest.py: one digest per workload run, the same for the
-same seed and different for another."""
+same seed and different for another, and one line per workload and seed."""
 
 import dataclasses
 import importlib.util
@@ -34,3 +34,19 @@ def test_digest_is_stable_and_seed_dependent(tool, tmp_path, monkeypatch):
         digests.append(tool.outputs_digest(workload, seed, tmp_path / str(run)))
     assert digests[0] == digests[1] != digests[2]
     assert len(digests[0]) == 32
+
+
+def test_one_line_per_workload_and_seed(tool, monkeypatch, capsys):
+    """``all`` names every workload; each workload runs at every seed, in
+    the order given."""
+    monkeypatch.setattr(tool, "outputs_digest",
+                        lambda workload, seed, work_dir: f"{workload.name}-{seed}")
+    assert tool.main(["--workload", "all", "--seed", "2", "1"]) == 0
+    names = sorted(tool.workloads.WORKLOADS)
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name} {seed} {name}-{seed}" for name in names for seed in (2, 1)]
+    assert tool.main(["--workload", "teacher_deep", "mixed_medium", "--seed", "7"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "teacher_deep 7 teacher_deep-7", "mixed_medium 7 mixed_medium-7"]
+    with pytest.raises(SystemExit):
+        tool.main(["--workload", "nope", "--seed", "1"])

@@ -433,8 +433,8 @@ class TestLiveStore:
         assert (system.store.root / "store.log").stat().st_size == _live_size(system)
         fresh = CheckpointStore(tmp_path / "fresh")
         for net in (system.teacher, system.student):
-            for k in range(1, net.plan.num_shards + 1):
-                retrain(net, k, fresh, CostLedger(), "initial_train")
+            retrain(net, range(1, net.plan.num_shards + 1), fresh, CostLedger(),
+                    "initial_train")
         for key in keys:
             got, want = reopened.load(key).state, fresh.load(key).state
             assert got.params.tobytes() == want.params.tobytes()

@@ -120,7 +120,7 @@ class TestUnlearning:
         assert reverted == "teacher:2:1:1@1"
 
         # scratch oracle: retrain member 2 on the post-removal plan
-        scratch = retrain(ensemble, 2, CheckpointStore(tmp_path / "scratch"),
+        scratch, = retrain(ensemble, [2], CheckpointStore(tmp_path / "scratch"),
                           CostLedger(), "initial_train")
         np.testing.assert_array_equal(ensemble.members[1].params,
                                       scratch.params)
@@ -168,7 +168,7 @@ class TestUnlearning:
         for v in victims:
             teacher_unlearn(ensemble, v, store, ledger)
 
-        scratch = retrain(ensemble, 1, CheckpointStore(tmp_path / "scratch"),
+        scratch, = retrain(ensemble, [1], CheckpointStore(tmp_path / "scratch"),
                           CostLedger(), "initial_train")
         np.testing.assert_array_equal(ensemble.members[0].params,
                                       scratch.params)

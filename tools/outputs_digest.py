@@ -1,10 +1,12 @@
 """Print one blake2b digest of everything a benchmark workload's run makes,
 so two trees can be compared for byte-identical outputs.
 
-    PYTHONPATH=src python3 tools/outputs_digest.py --workload student_fine --seed 1
+    PYTHONPATH=src python3 tools/outputs_digest.py --workload all --seed 1 2
 
-The run trains the workload (from bench/workloads.py, read as it is),
-saves and reloads it, then applies the seed's request stream. The digest
+prints one ``workload seed digest`` line per pair of the given workloads
+(``all`` for every one) and seeds. Each run trains the workload (from
+bench/workloads.py, read as it is), saves and reloads it, then applies the
+seed's request stream. The digest
 covers every parameter and rng cursor, every soft-label chunk's ids and
 bits, both plans' ``raw_slices()`` and each report without ``wall_time``,
 taken after set-up, after the reload and after every request, then the
@@ -68,15 +70,23 @@ def outputs_digest(workload: workloads.Workload, seed: int, work_dir: Path) -> s
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", nargs="+", required=True,
+                        help=f"any of {sorted(workloads.WORKLOADS)}, or all")
+    parser.add_argument("--seed", nargs="+", type=int, required=True)
     parser.add_argument("--points-per-class", type=int)
     args = parser.parse_args(argv)
-    workload = workloads.WORKLOADS[args.workload]
-    if args.points_per_class is not None:
-        workload = dataclasses.replace(workload, points_per_class=args.points_per_class)
-    with tempfile.TemporaryDirectory(prefix="outputs-digest-") as tmp:
-        print(outputs_digest(workload, args.seed, Path(tmp)))
+    names = sorted(workloads.WORKLOADS) if args.workload == ["all"] else args.workload
+    unknown = sorted(set(names) - set(workloads.WORKLOADS))
+    if unknown:
+        parser.error(f"unknown workload {unknown[0]!r}; choose from "
+                     f"{sorted(workloads.WORKLOADS)} or all")
+    for name in names:
+        workload = workloads.WORKLOADS[name]
+        if args.points_per_class is not None:
+            workload = dataclasses.replace(workload, points_per_class=args.points_per_class)
+        for seed in args.seed:
+            with tempfile.TemporaryDirectory(prefix="outputs-digest-") as tmp:
+                print(name, seed, outputs_digest(workload, seed, Path(tmp)), flush=True)
     return 0
 
 
