@@ -8,9 +8,10 @@ equal sizes and epochs and trains each group in lockstep, one
 the order one-at-a-time training writes them. ``revert_and_replay`` runs one
 model from the checkpoint ``revert_key`` names, through ``replay``, one
 ``run_round`` per round. A role (``TeacherEnsemble``, ``StudentNetwork``)
-supplies ``role``, ``seed_domain``, ``rounds`` (its model's rounds, after any
-check of the data they read), ``round_data`` (one round's training arrays)
-and ``run_round`` (one round trained, accounted and checkpointed). The
+supplies ``role``, ``seed_domain``, ``rounds`` (its model's rounds, each
+with its soft targets, after any check of the data they read) and
+``run_round`` (one round trained, accounted and checkpointed); a round's
+other arrays come from ``gather_round``. The
 initial state is never stored: its seed fixes it, so ``(role, k, 0, 0)``
 only names it, and a revert to it reports generation 0. A numpy that draws
 other initial values fails the manifest's kernel fingerprint, whose probe
@@ -119,10 +120,29 @@ def revert_key(role: str, plan, k: int, l: int, j: int) -> CheckpointKey:
     return CheckpointKey(role, k, 0, 0)
 
 
-def plan_rounds(plan, k: int) -> list[tuple[int, int]]:
-    """Rounds (l, j) of shard k of plan, in training order."""
-    return [(l, j) for l in range(1, plan.chunks_in_shard(k) + 1)
+class Round(NamedTuple):
+    """Round (l, j) of one model and its soft targets, one row per example:
+    the round trains on the first len(targets) rows of the model's shard."""
+    l: int
+    j: int
+    targets: np.ndarray
+
+
+def plan_rounds(plan, k: int, targets: np.ndarray) -> list[Round]:
+    """Rounds of shard k of plan, in training order, each with its prefix
+    view of targets, the soft targets of the whole shard in plan order.
+    The views share targets' memory, which lives as long as the rounds."""
+    return [Round(l, j, targets[:plan.chunk_bounds(k, l)[j]])
+            for l in range(1, plan.chunks_in_shard(k) + 1)
             for j in range(1, plan.slices_in_chunk(k, l) + 1)]
+
+
+def gather_round(plan, dataset, k: int, targets: np.ndarray) -> tuple:
+    """(features, targets, hard labels) of the round of shard k whose soft
+    targets are targets: its examples are the shard's first len(targets)
+    rows in plan order, gathered by row index."""
+    rows = plan.shard_rows(k)[:len(targets)]
+    return dataset.features.take(rows, axis=0), targets, dataset.labels.take(rows)
 
 
 def replay(net, state: ModelState, k: int, l: int, j: int,
@@ -133,9 +153,9 @@ def replay(net, state: ModelState, k: int, l: int, j: int,
     rounds, steps = net.rounds(k), 0
     epochs = net.budget.epochs_for(len(rounds))
     hyper_k = stream_hyper(net.hyper, net.seed_domain, k)
-    for chunk, q in rounds:
-        if (chunk, q) >= (l, j):
-            state, n = net.run_round(state, k, chunk, q, epochs, hyper_k, store, ledger, phase)
+    for r in rounds:
+        if (r.l, r.j) >= (l, j):
+            state, n = net.run_round(state, k, r, epochs, hyper_k, store, ledger, phase)
             steps += n
     return state, steps
 
@@ -151,7 +171,7 @@ def retrain(net, ks, store: CheckpointStore | None, ledger: CostLedger,
 
     Models whose rounds have equal sizes and epochs form a group that trains
     in lockstep: one ``model.train_stack`` call per round, each model's data
-    read by ``net.round_data`` and shuffled by its own stream. Each round's
+    read by ``gather_round`` and shuffled by its own stream. Each round's
     ledger row and checkpoint (none when store is None) are written in the
     order one-at-a-time training writes them, model by model in ks order and
     each model's rounds in order, so the store's log and the ledger do not
@@ -160,7 +180,7 @@ def retrain(net, ks, store: CheckpointStore | None, ledger: CostLedger,
     rounds, groups = {}, {}
     for k in ks:
         rounds[k] = net.rounds(k)
-        sizes = tuple(net.plan.chunk_bounds(k, l)[j] for l, j in rounds[k])
+        sizes = tuple(len(r.targets) for r in rounds[k])
         groups.setdefault((sizes, net.budget.epochs_for(len(sizes))), []).append(k)
     trained, final = {}, {}
     for (sizes, epochs), group in groups.items():
@@ -169,16 +189,17 @@ def retrain(net, ks, store: CheckpointStore | None, ledger: CostLedger,
         history = []
         for r in range(len(sizes)):
             states = model.train_stack(
-                states, (net.round_data(k, *rounds[k][r]) for k in group), epochs, hypers)
+                states, (gather_round(net.plan, net.dataset, k, rounds[k][r].targets)
+                         for k in group), epochs, hypers)
             history.append(states)
         for i, k in enumerate(group):
             trained[k] = [(n * epochs, stack[i]) for n, stack in zip(sizes, history)]
         while len(final) < len(ks) and ks[len(final)] in trained:
             k = ks[len(final)]
-            for (l, j), (steps, state) in zip(rounds[k], trained.pop(k)):
+            for r, (steps, state) in zip(rounds[k], trained.pop(k)):
                 ledger.add(phase, net.role, k, steps)
                 if store is not None:
-                    store.save(CheckpointKey(net.role, k, l, j), state)
+                    store.save(CheckpointKey(net.role, k, r.l, r.j), state)
             final[k] = state
     return [final[k] for k in ks]
 

@@ -8,13 +8,14 @@ k; chunks are further sliced, and the constituent trains on its cumulative
 data (all earlier chunks plus slices 1..j of the current chunk) for the
 per-slice epoch budget, checkpointing after every round. The network is the
 student role of the lifecycle in ``checkpoints``: it supplies ``rounds``
-(which checks once per replay that the cached soft labels follow the plan's
-order), ``round_data`` and ``run_round``, which is ``run_student_round`` on
-the cached labels; ``checkpoints.retrain`` runs initial training and
-verification, constituents of one shape in lockstep;
-``checkpoints.revert_and_replay`` runs unlearning, one constituent at a
-time. Two baseline labeling modes share this path: naive_sisa labels every
-chunk with the full ensemble, single_teacher chunk l with teacher l.
+(which checks once per replay or retrain that the cached soft labels follow
+the plan's order, then joins them into one array that every round slices)
+and ``run_round``, which is ``run_student_round`` on the cached labels;
+``checkpoints.retrain`` runs initial training and verification,
+constituents of one shape in lockstep; ``checkpoints.revert_and_replay``
+runs unlearning, one constituent at a time. Two baseline labeling modes
+share this path: naive_sisa labels every chunk with the full ensemble,
+single_teacher chunk l with teacher l.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import model
-from .checkpoints import CheckpointKey, CheckpointStore, plan_rounds, retrain
+from .checkpoints import CheckpointKey, CheckpointStore, gather_round, plan_rounds, retrain
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan, even_split_sizes, make_partition
 from .errors import NotFoundError
@@ -133,56 +134,46 @@ class StudentNetwork:
 
     def rounds(self, k):
         """Rounds (l, j) of constituent k, in order, once the cached soft
-        labels of its chunks are checked to follow the plan's order: rounds
-        slice them by position."""
-        ids = self.dataset.ids[self.plan.shard_rows(k)]
-        for l in range(1, self.plan.chunks_in_shard(k) + 1):
+        labels of its chunks are checked to follow the plan's order: they
+        are joined into one array for this call, and each round's soft
+        labels are a prefix of it. Nothing keeps the array, so every call
+        sees the labels as they are then."""
+        ids = self.dataset.ids.take(self.plan.shard_rows(k))
+        chunks = [self.soft_labels[(k, l)] for l in range(1, self.plan.chunks_in_shard(k) + 1)]
+        for l, chunk in enumerate(chunks, start=1):
             bounds = self.plan.chunk_bounds(k, l)
-            if not np.array_equal(self.soft_labels[(k, l)].ids, ids[bounds[0]:bounds[-1]]):
+            if not np.array_equal(chunk.ids, ids[bounds[0]:bounds[-1]]):
                 raise ValueError(f"soft labels of chunk {k},{l} do not follow the "
                                  f"plan's order")
-        return plan_rounds(self.plan, k)
+        return plan_rounds(self.plan, k, np.concatenate([c.probs for c in chunks]))
 
-    def round_data(self, k, l, j):
-        """(features, soft labels, hard labels) of round (l, j) of constituent k."""
-        return _gather_round(self.plan, self.dataset, self.soft_labels, k, l, j)
-
-    def run_round(self, state, k, l, j, epochs, hyper_k, store, ledger, phase):
-        """Round (l, j) of constituent k for ``checkpoints.replay``, on the
-        cached soft labels."""
-        return run_student_round(state, k, l, j, self.plan, self.dataset,
-                                 self.soft_labels, None, epochs, hyper_k, None,
-                                 store, ledger, phase)
-
-
-def _gather_round(plan: PartitionPlan, dataset: Dataset, soft_labels: dict,
-                  k: int, l: int, j: int):
-    """Cumulative training arrays (x, soft, hard) for round (l, j): chunks
-    1..l-1 in full plus slices 1..j of chunk l, in plan order.
-
-    That data is a prefix of shard k, so the gather is one slice of the
-    plan's row index and one slice of each chunk's soft labels, which
-    ``StudentNetwork.rounds`` has checked to follow the plan's order."""
-    bounds = plan.chunk_bounds(k, l)
-    soft = [soft_labels[(k, i)].probs for i in range(1, l)]
-    soft.append(soft_labels[(k, l)].probs[:bounds[j] - bounds[0]])
-    rows = plan.shard_rows(k)[:bounds[j]]
-    return dataset.features[rows], np.concatenate(soft), dataset.labels[rows]
+    def run_round(self, state, k, r, epochs, hyper_k, store, ledger, phase):
+        """Round r of constituent k for ``checkpoints.replay``, on its soft
+        labels."""
+        return run_student_round(state, k, r.l, r.j, self.plan, self.dataset, r.targets,
+                                 None, epochs, hyper_k, None, store, ledger, phase)
 
 
 def run_student_round(state: ModelState, k: int, l: int, j: int,
-                      plan: PartitionPlan, dataset: Dataset, soft_labels: dict,
+                      plan: PartitionPlan, dataset: Dataset, soft_labels,
                       provenance, epochs: int, hyper_k: TrainHyper,
                       alpha, store: CheckpointStore | None, ledger: CostLedger,
                       phase: str):
-    """One slice round of constituent k: train on the cumulative data,
-    account the steps and, unless store is None, store the checkpoint.
+    """One slice round of constituent k: train on the cumulative data
+    (chunks 1..l-1 in full plus slices 1..j of chunk l, a prefix of shard
+    k), account the steps and, unless store is None, store the checkpoint.
     Returns (state, steps).
 
-    provenance and alpha are unused (hyper_k carries the hard-label weight);
-    they stay in the signature only because the benchmark under bench/ calls
-    this function positionally, until its next change drops them."""
-    x, soft, hard = _gather_round(plan, dataset, soft_labels, k, l, j)
+    soft_labels is the round's own soft labels as one array, or the cached
+    soft labels by chunk, (k, l) -> SoftLabelChunk in plan order. provenance
+    and alpha are unused (hyper_k carries the hard-label weight); they stay
+    in the signature only because the benchmark under bench/ calls this
+    function positionally, with the labels by chunk, until its next change
+    drops them."""
+    if isinstance(soft_labels, dict):
+        soft_labels = np.concatenate([soft_labels[(k, i)].probs for i in range(1, l + 1)])[
+            :plan.chunk_bounds(k, l)[j]]
+    x, soft, hard = gather_round(plan, dataset, k, soft_labels)
     state = model.train(state, x, soft, hard, epochs, hyper_k)
     steps = len(x) * epochs
     ledger.add(phase, "student", k, steps)
@@ -200,7 +191,7 @@ def generate_chunk_labels(mode: str, mapping: ConstituentMapping,
     rows = plan.shard_rows(k)[bounds[0]:bounds[-1]]
     return subensemble_soft_labels(
         [teacher_members[m - 1] for m in chunk_teacher_ids(mode, mapping, k, l)],
-        dataset.ids[rows], dataset.features[rows], temperature)
+        dataset.ids.take(rows), dataset.features.take(rows, axis=0), temperature)
 
 
 def student_structure(dataset: Dataset, slice_counts, seed: int, removed,
@@ -250,9 +241,9 @@ def loss_trace(network: StudentNetwork, store: CheckpointStore, k: int):
     cumulative data at round end) for constituent k, read from the latest
     generation of each round checkpoint in store."""
     trace = []
-    for n, (l, j) in enumerate(network.rounds(k), start=1):
-        x, soft, hard = network.round_data(k, l, j)
-        state = store.load(CheckpointKey("student", k, l, j)).state
+    for n, r in enumerate(network.rounds(k), start=1):
+        x, soft, hard = gather_round(network.plan, network.dataset, k, r.targets)
+        state = store.load(CheckpointKey("student", k, r.l, r.j)).state
         trace.append((n, model.mean_distill_loss(state, x, soft, hard,
                                                  network.hyper.hard_label_weight)))
     return trace

@@ -12,6 +12,11 @@ unlearned point; a kill between the two leaves a committed manifest over an
 uncompacted store that loads the same system. A dataset is one file beside
 the manifest (three ``.npy`` arrays: ids, labels, features), named by its
 blake2b digest and written only when absent, so a removal never rewrites it.
+A load checks the file's bytes against the digest, then reads each array as
+a read-only ``np.frombuffer`` view of those bytes, not a copy; it refuses,
+with ParseError, an array whose header is malformed, whose dtype or rank is
+not the one a save writes, that is in Fortran order or cut short, and any
+bytes after the third array.
 A load builds each role through the constructors training uses
 (``make_partition``, ``student_structure``); label inference is
 row-independent, so derived soft labels equal the cached ones bit for bit.
@@ -28,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import weakref
 from dataclasses import asdict, dataclass, replace
@@ -154,6 +160,38 @@ def _save_dataset(ds: Dataset, directory: Path) -> dict:
     return _ENTRIES[ds]
 
 
+# (name, dtype, rank) of the arrays of a dataset file, in file order
+_DATASET_ARRAYS = (("ids", np.dtype(np.int64), 1), ("labels", np.dtype(np.int64), 1),
+                   ("features", np.dtype(np.float64), 2))
+
+
+def _read_arrays(data: bytes, path: Path) -> list[np.ndarray]:
+    """The arrays of a dataset file, as read-only views of its bytes."""
+    fp, arrays = io.BytesIO(data), []
+    for name, dtype, rank in _DATASET_ARRAYS:
+        try:
+            # np.save writes these short headers in format 1.0
+            if np.lib.format.read_magic(fp) != (1, 0):
+                raise ValueError("not an .npy array of format 1.0")
+            shape, fortran_order, got = np.lib.format.read_array_header_1_0(fp)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {name}: {exc}") from None
+        if got != dtype or len(shape) != rank or min(shape) < 0:
+            raise ParseError(f"{path}: {name} must be a {rank}-d {dtype} array, "
+                             f"not {got} of shape {shape}")
+        if fortran_order:
+            raise ParseError(f"{path}: {name} is in Fortran order")
+        start, count = fp.tell(), math.prod(shape)
+        end = start + count * dtype.itemsize
+        if end > len(data):
+            raise ParseError(f"{path}: {name} is cut short")
+        arrays.append(np.frombuffer(data, dtype, count, start).reshape(shape))
+        fp.seek(end)
+    if fp.tell() != len(data):
+        raise ParseError(f"{path}: {len(data) - fp.tell()} bytes after the last array")
+    return arrays
+
+
 def _load_dataset(entry: dict, directory: Path) -> Dataset:
     path = directory / entry["file"]
     try:
@@ -162,8 +200,7 @@ def _load_dataset(entry: dict, directory: Path) -> Dataset:
         raise ParseError(f"{path}: {exc}") from None
     if _digest(data) != entry["digest"]:
         raise ParseError(f"{path}: contents do not match the manifest's digest")
-    buf = io.BytesIO(data)
-    ids, labels, features = (np.load(buf, allow_pickle=False) for _ in range(3))
+    ids, labels, features = _read_arrays(data, path)
     ds = Dataset(ids, features, labels, entry["num_classes"])
     _ENTRIES[ds] = entry
     return ds

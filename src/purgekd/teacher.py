@@ -6,9 +6,10 @@ Each member m trains only on shard m: one chunk, R_T slices, cumulative
 slices 1..j for the per-slice epoch budget each round. Its plan is
 ``make_partition`` of the shape [[R_T]] * M. The ensemble is the
 teacher role of the lifecycle in ``checkpoints``: it supplies ``rounds``,
-``round_data`` and ``run_round``; ``checkpoints.retrain`` runs initial
-training and verification, members of one shard size in lockstep;
-``checkpoints.revert_and_replay`` runs unlearning, one member at a time.
+whose soft targets are the one-hot hard labels, and ``run_round``;
+``checkpoints.retrain`` runs initial training and verification, members of
+one shard size in lockstep; ``checkpoints.revert_and_replay`` runs
+unlearning, one member at a time.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from . import model
-from .checkpoints import (CheckpointKey, CheckpointStore, plan_rounds, retrain,
-                          revert_and_replay)
+from .checkpoints import (CheckpointKey, CheckpointStore, gather_round, plan_rounds,
+                          retrain, revert_and_replay)
 from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan, make_partition
 from .model import (SEED_TEACHER, SEED_TEACHER_PLAN, ModelArch, ModelState,
@@ -60,23 +61,18 @@ class TeacherEnsemble:
         return len(self.members)
 
     def rounds(self, m):
-        """Rounds (1, j) of member m, in order."""
-        return plan_rounds(self.plan, m)
+        """Rounds (1, j) of member m, in order, over the one-hot labels of
+        shard m."""
+        hard = self.dataset.labels.take(self.plan.shard_rows(m))
+        return plan_rounds(self.plan, m, one_hot(hard, self.dataset.num_classes))
 
-    def round_data(self, m, l, j):
-        """(features, one-hot targets, labels) of round (l, j) of member m:
-        slices 1..j, a prefix of shard m read by row index."""
-        rows = self.plan.shard_rows(m)[:self.plan.chunk_bounds(m, l)[j]]
-        hard = self.dataset.labels[rows]
-        return self.dataset.features[rows], one_hot(hard, self.dataset.num_classes), hard
-
-    def run_round(self, state, m, l, j, epochs, hyper_m, store, ledger, phase):
-        """Round (l, j) of member m for ``checkpoints.replay``."""
-        x, soft, hard = self.round_data(m, l, j)
+    def run_round(self, state, m, r, epochs, hyper_m, store, ledger, phase):
+        """Round r of member m for ``checkpoints.replay``."""
+        x, soft, hard = gather_round(self.plan, self.dataset, m, r.targets)
         state = model.train(state, x, soft, hard, epochs, hyper_m)
         ledger.add(phase, self.role, m, len(x) * epochs)
         if store is not None:
-            store.save(CheckpointKey(self.role, m, l, j), state)
+            store.save(CheckpointKey(self.role, m, r.l, r.j), state)
         return state, len(x) * epochs
 
 

@@ -1,6 +1,7 @@
 """Command-line harness: subcommands, config overrides, exit codes, and
 byte-stable outputs."""
 
+import hashlib
 import json
 import shutil
 import struct
@@ -293,6 +294,23 @@ class TestUnlearn:
                      "--requests", str(out / "requests.csv")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "digest" in err
+
+    def test_malformed_dataset_file_exits_3(self, config_path, tmp_path, capsys):
+        """A dataset file whose digest matches but that holds bytes after its
+        arrays is a data error."""
+        out = _train(config_path, tmp_path / "run")
+        (dataset,) = out.glob("dataset-*.bin")
+        data = dataset.read_bytes() + bytes(8)
+        dataset.write_bytes(data)
+        doc = json.loads((out / "system.json").read_text())
+        for role in ("teacher", "student"):
+            doc[role]["dataset"]["digest"] = hashlib.blake2b(data, digest_size=16).hexdigest()
+        (out / "system.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["unlearn", "--system", str(out),
+                     "--requests", str(out / "requests.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "after the last array" in err
 
     def test_version_1_manifest_exits_3(self, config_path, tmp_path, capsys):
         out = _train(config_path, tmp_path / "run")

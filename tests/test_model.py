@@ -6,6 +6,7 @@ compare train against a textbook row-major SGD loop kept here as the
 reference.
 """
 
+import itertools
 import json
 import math
 import os
@@ -217,6 +218,68 @@ class TestRowIndependence:
             np.testing.assert_array_equal(
                 predict_batch(state, np.delete(x, dropped, axis=0)),
                 np.delete(full, dropped, axis=0))
+
+
+def _row_major_predict(arch, params, x, temperature):
+    """Reference inference: the row-major kernel of earlier releases, whose
+    bits the class-major kernel must keep. Each layer is one
+    einsum("nd,dk->nk") plus its bias row; the softmax reduces each row of
+    the (n, K) logits."""
+    d, k, h = arch.feature_dim, arch.num_classes, arch.hidden_units
+    if h is None:
+        layers = [params.reshape(d + 1, k)]
+    else:
+        layers = [params[:(d + 1) * h].reshape(d + 1, h),
+                  params[(d + 1) * h:].reshape(h + 1, k)]
+    out = np.einsum("nd,dk->nk", x, layers[0][:-1], optimize=False) + layers[0][-1]
+    for w in layers[1:]:
+        out = np.einsum("nd,dk->nk", np.tanh(out), w[:-1], optimize=False) + w[-1]
+    z = out / temperature
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=1, keepdims=True)
+    return z
+
+
+class TestInferenceOracle:
+    """predict_batch equals the row-major reference bit for bit, one-column
+    hidden layers (h = 1), one class and one row included."""
+
+    @pytest.mark.parametrize("d", [1, 3, 16, 32])
+    @pytest.mark.parametrize("kind", ["softmax_linear", "one_hidden_layer"])
+    def test_equals_row_major_reference(self, kind, d):
+        rng = np.random.default_rng(d)
+        hidden = [1, 2, 32] if kind == "one_hidden_layer" else [None]
+        for k, h, n, temperature in itertools.product([1, 2, 10], hidden, [1, 7, 312],
+                                                       [1.0, 2.5]):
+            arch = ModelArch(kind, d, k, h)
+            params = rng.normal(scale=0.7, size=arch.param_count)
+            x = rng.normal(scale=3.0, size=(n, d))
+            got = predict_batch(ModelState(arch, params), x, temperature)
+            want = _row_major_predict(arch, params, x, temperature)
+            assert got.tobytes() == want.tobytes(), (k, h, n, temperature)
+
+    @pytest.mark.parametrize("kind", ["softmax_linear", "one_hidden_layer"])
+    def test_extreme_logits(self, kind):
+        """Logits in the thousands, where most classes underflow to zero."""
+        rng = np.random.default_rng(5)
+        arch = ModelArch(kind, 16, 10, 8 if kind == "one_hidden_layer" else None)
+        params = rng.normal(scale=200.0, size=arch.param_count)
+        x = rng.normal(scale=50.0, size=(64, 16))
+        got = predict_batch(ModelState(arch, params), x)
+        assert (got == 0.0).any() and np.isfinite(got).all()
+        assert got.tobytes() == _row_major_predict(arch, params, x, 1.0).tobytes()
+
+    def test_any_memory_layout(self):
+        """A Fortran-ordered or strided input gives the bits of a C-ordered one."""
+        rng = np.random.default_rng(6)
+        for h in (1, 32):
+            state = ModelState(ModelArch("one_hidden_layer", 16, 10, h),
+                               rng.normal(size=(16 + 1) * h + (h + 1) * 10))
+            x = rng.normal(size=(312, 32))[:, ::2]
+            want = predict_batch(state, np.ascontiguousarray(x)).tobytes()
+            assert predict_batch(state, x).tobytes() == want
+            assert predict_batch(state, np.asfortranarray(x)).tobytes() == want
 
 
 def _one_row_loss(p, soft, hard_label, hard_label_weight=0.0):
@@ -513,6 +576,13 @@ def _hard_stack(rng, members, n, k=10):
     return list(out)
 
 
+def _spy(monkeypatch, owner, name):
+    """Record each call of owner.name while the test runs; returns the list."""
+    calls, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
 class TestExactMean:
     """aggregate_batch equals a per-element fsum(...)/M bit for bit."""
 
@@ -537,6 +607,37 @@ class TestExactMean:
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
         if members > 1:
             assert calls, "no element reached the fsum fallback"
+
+    def test_softmax_stack_skips_the_interval_test(self, monkeypatch):
+        """Every error sum of a softmax stack is exact, so the mean is the
+        cascade's rounded sum: no ulp interval is computed."""
+        rng = np.random.default_rng(77)
+        mats = [rng.dirichlet(np.full(10, 0.3), size=312) for _ in range(16)]
+        calls = _spy(monkeypatch, np, "nextafter")
+        got = aggregate_batch(mats)
+        assert not calls
+        np.testing.assert_array_equal(got.view(np.int64), _fsum_mean(mats).view(np.int64))
+
+    @pytest.mark.parametrize("element", ["near_tie", "largest", "-largest"])
+    def test_other_stacks_run_the_interval_test(self, element, monkeypatch):
+        """One element with a nonzero error bound (a kind-6 near-tie of
+        _hard_stack), or at plus or minus the largest double, sends the
+        stack through the interval test; the mean still equals fsum's."""
+        rng = np.random.default_rng(78)
+        mats = [rng.dirichlet(np.full(10, 0.3), size=5) for _ in range(3)]
+        if element == "near_tie":
+            base = 0.75
+            half = math.ulp(base) / 2
+            vals = [base, float(np.nextafter(half, 0.0)), math.ulp(half) / 8]
+        else:
+            big = np.finfo(np.float64).max * (-1.0 if element == "-largest" else 1.0)
+            vals = [big, 0.0, 0.0]
+        for m, v in zip(mats, vals):
+            m[2, 3] = v
+        calls = _spy(monkeypatch, np, "nextafter")
+        got = aggregate_batch(mats)
+        assert calls
+        np.testing.assert_array_equal(got.view(np.int64), _fsum_mean(mats).view(np.int64))
 
     def test_non_finite_values_follow_fsum(self):
         mats = [np.array([[np.nan, np.inf, 1.0]]), np.array([[1.0, 1.0, np.inf]])]

@@ -1,5 +1,7 @@
 """System assembly: whole-pipeline wiring, manifests, and snapshots."""
 
+import hashlib
+import io
 import json
 import os
 from pathlib import Path
@@ -406,6 +408,83 @@ def _live_size(system) -> int:
                    "student": system.student.arch.param_count}
     return sum(_FRAME.size + _HEADER.size + 8 * param_count[key.role]
                for key in _round_keys(system))
+
+
+def _rewrite_dataset(path: Path, data: bytes) -> None:
+    """Replace the dataset file beside the manifest at path by data, with the
+    manifest's digest updated to match, so only the parser can refuse it."""
+    doc = json.loads(path.read_text())
+    entry = doc["student"]["dataset"]
+    (path.parent / entry["file"]).write_bytes(data)
+    digest = hashlib.blake2b(data, digest_size=16).hexdigest()
+    for role in ("teacher", "student"):
+        doc[role]["dataset"]["digest"] = digest
+    path.write_text(json.dumps(doc))
+
+
+def _dataset_bytes(arrays) -> bytes:
+    buf = io.BytesIO()
+    for array in arrays:
+        np.save(buf, array, allow_pickle=True)
+    return buf.getvalue()
+
+
+class TestDatasetFile:
+    """A dataset file is read as read-only views of its digest-checked
+    bytes; a file whose digest matches but whose arrays are not what a save
+    writes is refused."""
+
+    def test_arrays_are_read_only_views_of_the_file(self, small_system, tmp_path):
+        save_manifest(small_system, tmp_path / "system.json", "ckpt")
+        ds = load_system(tmp_path / "system.json").student.dataset
+        for array in (ds.ids, ds.labels, ds.features):
+            assert not array.flags.writeable and not array.flags.owndata
+        for name in ("ids", "labels", "features"):
+            assert getattr(ds, name).tobytes() == \
+                getattr(small_system.student.dataset, name).tobytes()
+
+    def test_a_file_written_again_loads(self, small_system, tmp_path):
+        """The control for the faults below: rewriting the same arrays with
+        a matching digest loads."""
+        path = tmp_path / "system.json"
+        save_manifest(small_system, path, "ckpt")
+        ds = small_system.student.dataset
+        _rewrite_dataset(path, _dataset_bytes([ds.ids, ds.labels, ds.features]))
+        assert load_system(path).student.dataset.ids.tobytes() == ds.ids.tobytes()
+
+    @pytest.mark.parametrize("fault, message", [
+        ("object_dtype", "ids must be a 1-d int64 array, not object"),
+        ("fortran_order", "features is in Fortran order"),
+        ("truncated", "features is cut short"),
+        ("trailing_bytes", "8 bytes after the last array"),
+    ])
+    def test_malformed_arrays_refused(self, small_system, tmp_path, fault, message):
+        path = tmp_path / "system.json"
+        save_manifest(small_system, path, "ckpt")
+        ds = small_system.student.dataset
+        arrays = [ds.ids, ds.labels, ds.features]
+        if fault == "object_dtype":
+            arrays[0] = ds.ids.astype(object)
+        elif fault == "fortran_order":
+            arrays[2] = np.asfortranarray(ds.features)
+        data = _dataset_bytes(arrays)
+        if fault == "truncated":
+            data = data[:-8]
+        elif fault == "trailing_bytes":
+            data += bytes(8)
+        _rewrite_dataset(path, data)
+        with pytest.raises(ParseError, match=message):
+            load_system(path)
+
+    def test_flipped_byte_fails_the_digest(self, small_system, tmp_path):
+        path = tmp_path / "system.json"
+        save_manifest(small_system, path, "ckpt")
+        (dataset,) = tmp_path.glob("dataset-*.bin")
+        data = bytearray(dataset.read_bytes())
+        data[-1] ^= 0x01
+        dataset.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match="digest"):
+            load_system(path)
 
 
 class TestLiveStore:
