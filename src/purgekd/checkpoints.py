@@ -170,8 +170,9 @@ def retrain(net, ks, store: CheckpointStore | None, ledger: CostLedger,
     round, each bit for bit as ``replay`` would train it alone.
 
     Models whose rounds have equal sizes and epochs form a group that trains
-    in lockstep: one ``model.train_stack`` call per round, each model's data
-    read by ``gather_round`` and shuffled by its own stream. Each round's
+    in lockstep: one ``model.train_stack`` call per round, handed each
+    model's round as the rows ``gather_round`` would read, which the kernel
+    gathers once, shuffled by the model's own stream. Each round's
     ledger row and checkpoint (none when store is None) are written in the
     order one-at-a-time training writes them, model by model in ks order and
     each model's rounds in order, so the store's log and the ledger do not
@@ -187,10 +188,10 @@ def retrain(net, ks, store: CheckpointStore | None, ledger: CostLedger,
         states = [_initial_state(net, k) for k in group]
         hypers = [stream_hyper(net.hyper, net.seed_domain, k) for k in group]
         history = []
-        for r in range(len(sizes)):
+        for r, n in enumerate(sizes):
             states = model.train_stack(
-                states, (gather_round(net.plan, net.dataset, k, rounds[k][r].targets)
-                         for k in group), epochs, hypers)
+                states, ((net.dataset.features, rounds[k][r].targets, net.dataset.labels,
+                          net.plan.shard_rows(k)[:n]) for k in group), epochs, hypers)
             history.append(states)
         for i, k in enumerate(group):
             trained[k] = [(n * epochs, stack[i]) for n, stack in zip(sizes, history)]

@@ -19,21 +19,28 @@ Training is bias-folded, class-major, stacked and BLAS: the flat parameter
 layout stores each layer's bias right after its weights, so each layer is
 one (inputs + 1, outputs) matrix view of the parameters, and a stack of M
 models with one architecture and example count is an (M, P) array whose
-views are (M, inputs + 1, outputs) stacks. ``train_stack`` lays each model's
-permuted features out once per call as columns over a ones row, straight
-into one (M, d + 1, n) array, and its targets into one (M, K, n) array.
-Every SGD step then makes one stacked call per layer operation (a BLAS
-product per layer per direction, activations kept as (classes, batch) so
-the softmax reduces over classes) into out= buffers made once per batch
-width and reused across batches and epochs, with the update written into
-the layer views in place. numpy's matmul makes the same BLAS call for each
-model of a stack as for that model alone, so M models in lockstep get the
-bits each would get alone; ``train`` is the M = 1 case. Training runs on
-one BLAS thread (set through the OpenBLAS that numpy links, then restored),
-since a thread count can change a product's bits. Replay always sees the
-batch shapes of the original run, so it reproduces the original bits on the
-same BLAS kernel; ``kernel_fingerprint`` lets a saved run detect a
-different one.
+views are (M, inputs + 1, outputs) stacks. ``train_stack`` gathers each
+model's permuted round once, straight into batch-major blocks: one buffer
+per call holds, per batch, an (M, d + 1 + K, b) block of the batch's
+features as columns over a ones row and then its targets, so every BLAS
+operand of a step is a C-ordered block of its own (an F-ordered operand
+takes another BLAS path, with other bits; so does a vector product over
+contiguous rows, which is why the blocks of a round of several batches
+are one column wider than a batch, as a column range of the whole round
+was). Every SGD step then makes one
+stacked call per layer operation (a BLAS product per layer per direction,
+activations kept as (classes, batch) so the softmax reduces over classes)
+into out= buffers made once per batch width and reused across batches and
+epochs. Each layer's gradient is a view of one flat gradient buffer shaped
+like the parameters, so the update is one scale and one subtract for all
+layers, the same operations per element as one per layer. numpy's matmul
+makes the same BLAS call for each model of a stack as for that model alone,
+so M models in lockstep get the bits each would get alone; ``train`` is the
+M = 1 case. Training runs on one BLAS thread (set through the OpenBLAS that
+numpy links, then restored), since a thread count can change a product's
+bits. Replay always sees the batch shapes of the original run, so it
+reproduces the original bits on the same BLAS kernel; ``kernel_fingerprint``
+lets a saved run detect a different one.
 
 Aggregation is correctly rounded and vectorized: every element of an
 ensemble mean is ``fsum(member values) / M``, computed with error-free
@@ -42,7 +49,12 @@ exact and every sum is finite, as on every softmax stack measured, the
 cascade's rounded sum is the answer and nothing else runs. Otherwise exact
 ties are settled by the cascade itself; only elements whose rounding it
 cannot certify (near-ties within the error bound, non-finite values) fall
-back to a per-element ``math.fsum``.
+back to a per-element ``math.fsum``. A chunk can keep its exact member sum
+as a two-term pair (``summed_soft_labels``), so that when one member
+changes, its old term is replaced by its new one with the same error-free
+transformations (``SoftLabelChunk.replaced``) instead of summing every
+member again; a replacement the transformations cannot certify exact is
+refused, and the caller sums in full.
 """
 
 from __future__ import annotations
@@ -263,102 +275,124 @@ def _blas_threads():
 BLAS_THREADS = _blas_threads()
 
 
-def _step_operands(arch: ModelArch, layers, lead: tuple, b: int) -> tuple:
-    """The arrays one SGD step of a stack of models (lead its leading shape)
-    on a b-column batch works on, after its batch: each layer view and its
-    transpose, out= buffers for the logits z, z transposed and their
-    reduction row r, then one gradient per layer; for the hidden layer also
-    its activations over a ones row (hb), the activations themselves, their
-    back-propagated gradient gh, gh transposed and an (h, b) scratch array."""
+def _width_operands(arch: ModelArch, lead: tuple, b: int) -> tuple:
+    """The out= buffers one SGD step of a stack of models (lead its leading
+    shape) on a b-column batch writes: the logits z, z transposed and their
+    reduction row r; for the hidden layer also its activations over a ones
+    row (hb), the activations themselves, their back-propagated gradient
+    gh, gh transposed and an (h, b) scratch array."""
     z = np.empty(lead + (arch.num_classes, b))
-    zt, r = z.swapaxes(-1, -2), np.empty(lead + (1, b))
+    ops = (z, z.swapaxes(-1, -2), np.empty(lead + (1, b)))
     if arch.kind == "softmax_linear":
-        (w,) = layers
-        return w, w.swapaxes(-1, -2), z, zt, r, np.empty(w.shape)
-    w1, w2 = layers
+        return ops
     h = arch.hidden_units
     hb, gh = np.ones(lead + (h + 1, b)), np.empty(lead + (h, b))
-    return (w1, w1.swapaxes(-1, -2), w2, w2.swapaxes(-1, -2), w2[..., :-1, :], z, zt, r,
-            np.empty(w1.shape), np.empty(w2.shape), hb, hb[..., :-1, :], gh,
-            gh.swapaxes(-1, -2), np.empty(lead + (h, b)))
+    return ops + (hb, hb[..., :-1, :], gh, gh.swapaxes(-1, -2), np.empty(lead + (h, b)))
 
 
-def _softmax_step(xb, tb, step, w, wt, z, zt, r, g) -> None:
-    """One SGD step of stacked softmax-linear models: the batch-summed
-    gradient of the distillation loss, written into g, scaled by step and
-    subtracted from the layer view w in place."""
-    np.matmul(wt, xb, out=z)
-    np.maximum.reduce(z, axis=-2, keepdims=True, out=r)
-    z -= r
-    np.exp(z, out=z)
-    np.add.reduce(z, axis=-2, keepdims=True, out=r)
-    z /= r
-    z -= tb
-    np.matmul(xb, zt, out=g)
-    g *= step
-    w -= g
+def _softmax_epochs(params, grad, layers, grads, widths, epochs) -> None:
+    """SGD steps of stacked softmax-linear models: per batch the
+    batch-summed gradient of the distillation loss into the layer view of
+    grad, then params -= step * grad."""
+    matmul, maxred, addred = np.matmul, np.maximum.reduce, np.add.reduce
+    exp, sub, div, mul = np.exp, np.subtract, np.divide, np.multiply
+    (w,), (g,) = layers, grads
+    wt = w.swapaxes(-1, -2)
+    for _ in range(epochs):
+        for blocks, step, z, zt, r in widths:
+            for xb, tb in blocks:
+                matmul(wt, xb, z)
+                maxred(z, -2, None, r, True)
+                sub(z, r, z)
+                exp(z, z)
+                addred(z, -2, None, r, True)
+                div(z, r, z)
+                sub(z, tb, z)
+                matmul(xb, zt, g)
+                mul(grad, step, grad)
+                sub(params, grad, params)
 
 
-def _hidden_step(xb, tb, step, w1, w1t, w2, w2t, w2h, z, zt, r, g1, g2, hb, h, gh,
-                 ght, tmp) -> None:
-    """_softmax_step for stacked one-hidden-layer models: tanh activations
+def _hidden_epochs(params, grad, layers, grads, widths, epochs) -> None:
+    """_softmax_epochs for stacked one-hidden-layer models: tanh activations
     in h, the rows of hb above its last row of ones, back-propagated through
-    w2h, the rows of w2 above its bias row."""
-    np.matmul(w1t, xb, out=h)
-    np.tanh(h, out=h)
-    np.matmul(w2t, hb, out=z)
-    np.maximum.reduce(z, axis=-2, keepdims=True, out=r)
-    z -= r
-    np.exp(z, out=z)
-    np.add.reduce(z, axis=-2, keepdims=True, out=r)
-    z /= r
-    z -= tb
-    np.matmul(w2h, z, out=gh)
-    np.multiply(h, h, out=tmp)
-    np.subtract(1.0, tmp, out=tmp)
-    gh *= tmp
-    np.matmul(xb, ght, out=g1)
-    np.matmul(hb, zt, out=g2)
-    g1 *= step
-    w1 -= g1
-    g2 *= step
-    w2 -= g2
+    the rows of w2 above its bias row. Both gradients are computed before
+    the update."""
+    matmul, maxred, addred = np.matmul, np.maximum.reduce, np.add.reduce
+    exp, sub, div, mul, tanh = np.exp, np.subtract, np.divide, np.multiply, np.tanh
+    (w1, w2), (g1, g2) = layers, grads
+    w1t, w2t, w2h = w1.swapaxes(-1, -2), w2.swapaxes(-1, -2), w2[..., :-1, :]
+    for _ in range(epochs):
+        for blocks, step, z, zt, r, hb, h, gh, ght, tmp in widths:
+            for xb, tb in blocks:
+                matmul(w1t, xb, h)
+                tanh(h, h)
+                matmul(w2t, hb, z)
+                maxred(z, -2, None, r, True)
+                sub(z, r, z)
+                exp(z, z)
+                addred(z, -2, None, r, True)
+                div(z, r, z)
+                sub(z, tb, z)
+                matmul(w2h, z, gh)
+                mul(h, h, tmp)
+                sub(1.0, tmp, tmp)
+                mul(gh, tmp, gh)
+                matmul(xb, ght, g1)
+                matmul(hb, zt, g2)
+                mul(grad, step, grad)
+                sub(params, grad, params)
 
 
-def _sgd(arch: ModelArch, params: np.ndarray, xt: np.ndarray, tt: np.ndarray,
-         epochs: int, batch_size: int, learning_rate: float) -> None:
-    """The training kernel: epochs of SGD for M stacked models in lockstep.
+def _sgd(arch: ModelArch, params: np.ndarray, groups, epochs: int,
+         learning_rate: float) -> None:
+    """The training kernel: epochs of SGD for stacked models in lockstep.
 
-    params is (M, P), updated in place through its bias-folded layer views;
-    xt is (M, d + 1, n), each model's permuted features as columns over a
-    ones row; tt is (M, K, n), their targets. Batches are consecutive
-    column runs; each step is one stacked call per layer operation into
-    out= buffers made once per batch width, so every model gets the BLAS
-    calls it would get alone. Runs on one BLAS thread when the library
-    lets the thread count be set, restoring the caller's count after.
+    params is (..., P), updated in place through its bias-folded layer
+    views. groups holds the batches in order, one (features, targets) pair
+    of arrays per batch width: features (B, ..., d + 1, b), each batch's
+    features as columns over a ones row, and targets (B, ..., K, b), with
+    params' leading shape, every batch a C-ordered block. Each step is one
+    stacked call per layer operation into out= buffers made once per batch
+    width; every layer's gradient is a view of one flat gradient buffer
+    shaped like params, so the update is one scale and one subtract.
+    numpy's matmul makes the same BLAS call for each model of a stack as
+    for that model alone. Runs on one BLAS thread when the library lets the
+    thread count be set, restoring the caller's count after.
     """
-    if len(xt) == 1:  # one model: the same calls without the stack axis, a little faster
-        params, xt, tt = params[0], xt[0], tt[0]
-    n, lead = xt.shape[-1], xt.shape[:-2]
-    layers = _layers(arch, params)
-    step = _softmax_step if arch.kind == "softmax_linear" else _hidden_step
-    operands, batches = {}, []
-    for s0 in range(0, n, batch_size):
-        b = min(batch_size, n - s0)
-        if b not in operands:
-            operands[b] = _step_operands(arch, layers, lead, b)
-        batches.append((xt[..., s0:s0 + b], tt[..., s0:s0 + b], learning_rate / b,
-                        operands[b]))
+    lead, grad = params.shape[:-1], np.empty_like(params)
+    widths = [(list(zip(xs, ts)), learning_rate / xs.shape[-1],
+               *_width_operands(arch, lead, xs.shape[-1])) for xs, ts in groups]
+    run = _softmax_epochs if arch.kind == "softmax_linear" else _hidden_epochs
     threads = BLAS_THREADS[0]() if BLAS_THREADS else 1
     if threads != 1:
         BLAS_THREADS[1](1)
     try:
-        for _ in range(epochs):
-            for xb, tb, step_size, ops in batches:
-                step(xb, tb, step_size, *ops)
+        run(params, grad, _layers(arch, params), _layers(arch, grad), widths, epochs)
     finally:
         if threads != 1:
             BLAS_THREADS[1](threads)
+
+
+def _layout(lead: tuple, d: int, k: int, n: int, b: int):
+    """A fresh buffer for the batch-major blocks of a round of n examples in
+    batches of b, and the (features, targets) groups ``_sgd`` takes, views
+    of it: (B, *lead, d + 1 + K, width), each block holding its batch's
+    features as columns over a ones row (row d), then their targets, so
+    every block is C-ordered. The tail batch takes the first columns of the
+    last block. When the round has more than one batch, each block is one
+    column wider than a batch, as the rows of a column range of the whole
+    round are spaced: BLAS takes a vector product (a one-column batch, a
+    one-unit layer) over contiguous rows down another path, which can give
+    other bits."""
+    nf, tail = divmod(n, b)
+    buf = np.empty((nf + (tail > 0), *lead, d + 1 + k, b + 1 if n > b else n))
+    buf[..., d, :] = 1.0
+    x, t = buf[..., :d + 1, :], buf[..., d + 1:, :]
+    groups = [(x[:nf, ..., :b], t[:nf, ..., :b])] if nf else []
+    if tail:
+        groups.append((x[nf:, ..., :tail], t[nf:, ..., :tail]))
+    return buf, groups
 
 
 def train(state: ModelState, features, soft_labels, hard_labels, epochs: int,
@@ -378,19 +412,21 @@ def train(state: ModelState, features, soft_labels, hard_labels, epochs: int,
 def train_stack(states, rounds, epochs: int, hypers) -> list[ModelState]:
     """``train`` for M models in lockstep, bit for bit as if each were
     trained alone: states[i] trains on the i-th (features, soft_labels,
-    hard_labels) of rounds, shuffled by hypers[i]. rounds is read one model
-    at a time, each permuted straight into the stacked class-major buffers,
-    so it may be a generator. The models share one architecture, example
-    count, learning rate and batch size."""
+    hard_labels) of rounds, shuffled by hypers[i]. A round may carry row
+    indices as a fourth item: its examples are then those rows of features
+    and hard_labels, gathered once, in shuffled order. rounds is read one
+    model at a time, each permuted straight into the batch-major blocks of
+    ``_layout``, so it may be a generator. The models share one
+    architecture, example count, learning rate and batch size."""
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     if epochs == 0:
         return [state.copy() for state in states]
     arch, hyper = states[0].arch, hypers[0]
-    d, k, m = arch.feature_dim, arch.num_classes, len(states)
+    d, k, m, b = arch.feature_dim, arch.num_classes, len(states), hyper.batch_size
     params = np.empty((m, arch.param_count))
-    xt = tt = None
-    for i, (state, hyper_i, (features, soft_labels, hard_labels)) in enumerate(
+    blocks = None
+    for i, (state, hyper_i, (features, soft_labels, hard_labels, *rows)) in enumerate(
             zip(states, hypers, rounds, strict=True)):
         if state.arch != arch or (hyper_i.learning_rate, hyper_i.batch_size) != (
                 hyper.learning_rate, hyper.batch_size):
@@ -399,28 +435,35 @@ def train_stack(states, rounds, epochs: int, hypers) -> list[ModelState]:
         x = np.asarray(features, dtype=np.float64)
         soft = np.asarray(soft_labels, dtype=np.float64)
         hard = np.asarray(hard_labels, dtype=np.int64)
-        n = len(x)
+        rows = np.asarray(rows[0], dtype=np.intp) if rows else None
+        n = len(x) if rows is None else len(rows)
         if n == 0:
             raise ValueError("cannot train on an empty example list")
         if x.ndim != 2 or x.shape[1] != d:
             raise DimensionError(f"features must be (n, {d})")
-        if soft.shape != (n, k) or hard.shape != (n,):
+        if soft.shape != (n, k) or hard.shape != (len(x),):
             raise DimensionError("label arrays do not match the example count")
-        if xt is None:
-            xt, tt = np.empty((m, d + 1, n)), np.empty((m, k, n))
-            xt[:, d] = 1.0
-        elif n != xt.shape[2]:
+        if blocks is None:
+            count, (blocks, groups) = n, _layout(() if m == 1 else (m,), d, k, n, b)
+            width = min(n, b)
+            spare = len(blocks) * width - n
+        elif n != count:
             raise DimensionError("stacked models need one example count")
         params[i] = state.params
         perm = np.random.default_rng(mix_seed(hyper_i.seed, state.rng_cursor)).permutation(n)
-        xt[i, :d] = x.take(perm, axis=0).T
-        t = tt[i]
-        t[...] = soft.take(perm, axis=0).T
+        if spare:  # the tail block's unused columns repeat the first examples
+            perm = np.concatenate((perm, perm[:spare]))
+        at = perm if rows is None else rows.take(perm)
+        targets = soft.take(perm, axis=0)
         a = hyper_i.hard_label_weight
         if a:
-            t *= 1.0 - a
-            t[hard[perm], np.arange(n)] += a
-    _sgd(arch, params, xt, tt, epochs, hyper.batch_size, hyper.learning_rate)
+            targets *= 1.0 - a
+            targets[np.arange(len(perm)), hard.take(at)] += a
+        slot = blocks if m == 1 else blocks[:, i]
+        slot[:, :d, :width] = x.take(at, axis=0).reshape(-1, width, d).transpose(0, 2, 1)
+        slot[:, d + 1:, :width] = targets.reshape(-1, width, k).transpose(0, 2, 1)
+    # one model: the same calls without the stack axis, a little faster
+    _sgd(arch, params[0] if m == 1 else params, groups, epochs, hyper.learning_rate)
     return [ModelState(arch, params[i], s.rng_cursor + 1) for i, s in enumerate(states)]
 
 
@@ -465,6 +508,28 @@ def _two_sum(a: np.ndarray, b: np.ndarray):
     return s, (a - (s - bb)) + (b - bb)
 
 
+def _cascade(mats):
+    """The TwoSum cascade over the members of mats: (r, c) = TwoSum(s, e),
+    s the float sum and e the float sum of its exact rounding errors, and
+    a bound on the rounding of e itself. Where bound == 0, r + c is the
+    exact member sum."""
+    s = mats[0]
+    e = np.zeros_like(s)
+    bound = np.zeros_like(s)
+    for a in mats[1:]:
+        s, t = _two_sum(s, a)
+        e, err = _two_sum(e, t)
+        bound += np.abs(err)
+    r, c = _two_sum(s, e)
+    return r, c, bound
+
+
+def _certified(r: np.ndarray, bound: np.ndarray) -> bool:
+    """True when every element of the cascade is exact and finite: r is
+    then the correctly rounded member sum everywhere."""
+    return not bound.any() and bool((np.abs(r) < DOUBLE_MAX).all())
+
+
 def aggregate_batch(prediction_mats) -> np.ndarray:
     """Element-wise mean of (n, K) prediction matrices, bit-equal to
     ``math.fsum(values) / M`` for every element.
@@ -491,15 +556,8 @@ def aggregate_batch(prediction_mats) -> np.ndarray:
         raise DimensionError("prediction matrices must share one (n, K) shape")
     # non-finite values make NaNs here; they fail the test below and go to fsum
     with np.errstate(invalid="ignore", over="ignore"):
-        s = mats[0]
-        e = np.zeros_like(s)
-        bound = np.zeros_like(s)
-        for a in mats[1:]:
-            s, t = _two_sum(s, a)
-            e, err = _two_sum(e, t)
-            bound += np.abs(err)
-        r, c = _two_sum(s, e)
-        if not bound.any() and (np.abs(r) < DOUBLE_MAX).all():
+        r, c, bound = _cascade(mats)
+        if _certified(r, bound):
             return r / len(mats)
         # doubling covers the rounding of bound's own float sum of |err|
         bound *= 2.0
@@ -514,11 +572,19 @@ def aggregate_batch(prediction_mats) -> np.ndarray:
 
 
 class SoftLabelChunk:
-    """Ordered (point_id, probability vector) pairs for one chunk."""
+    """Ordered (point_id, probability vector) pairs for one chunk.
+
+    sums is None, or, on a chunk made by ``from_sum``, the chunk's exact
+    member sum as a two-term pair (r, c) of (n, K) arrays: r + c equals the
+    sum of the members' probabilities with no rounding, r is that sum
+    correctly rounded and probs is r / members. It lets an update of one
+    member replace that member's term (``replaced``) instead of summing
+    every member again."""
 
     def __init__(self, point_ids, probs):
         self.ids = np.asarray(point_ids, dtype=np.int64)
         self.probs = np.asarray(probs, dtype=np.float64)
+        self.sums = None
         if self.ids.ndim != 1 or self.probs.ndim != 2 or len(self.probs) != len(self.ids):
             raise DimensionError("need one probability row per point id")
         if len(self.probs):
@@ -526,6 +592,15 @@ class SoftLabelChunk:
                 raise ValueError("soft labels must be non-negative")
             if np.abs(self.probs.sum(axis=1) - 1.0).max() > 1e-9:
                 raise ValueError("soft labels must sum to 1 within 1e-9")
+
+    @classmethod
+    def from_sum(cls, point_ids, r: np.ndarray, c: np.ndarray,
+                 members: int) -> "SoftLabelChunk":
+        """The chunk of a subensemble of members whose exact member sum is
+        r + c, r the correctly rounded sum."""
+        chunk = cls(point_ids, r / members)
+        chunk.sums = (r, c)
+        return chunk
 
     @property
     def point_ids(self) -> tuple[int, ...]:
@@ -538,11 +613,47 @@ class SoftLabelChunk:
         return bool((self.ids == int(point_id)).any())
 
     def without(self, point_id) -> "SoftLabelChunk":
-        """Copy with one entry dropped; the remaining rows keep their order and bits."""
+        """Copy with one entry dropped, from the sums too; the remaining rows
+        keep their order and bits."""
         keep = self.ids != int(point_id)
         if keep.all():
             raise KeyError(f"point {int(point_id)} has no soft label in this chunk")
-        return SoftLabelChunk(self.ids[keep], self.probs[keep])
+        chunk = SoftLabelChunk(self.ids[keep], self.probs[keep])
+        if self.sums is not None:
+            chunk.sums = tuple(a[keep] for a in self.sums)
+        return chunk
+
+    def replaced(self, old: np.ndarray, new: np.ndarray,
+                 members: int) -> "SoftLabelChunk | None":
+        """The chunk after one of its members' predictions changed from old
+        to new, both (n, K) in the chunk's row order, or None when the
+        result cannot be certified exact (then relabel in full).
+
+        With (s1, t1) = TwoSum(r, -old), (s2, t2) = TwoSum(s1, new),
+        (e1, x1) = TwoSum(c, t1) and (e2, x2) = TwoSum(e1, t2), the new exact
+        sum is s2 + e2 + x1 + x2. When every x1 and x2 is 0 (a NaN or
+        infinity anywhere makes one of them NaN) and the rounded sum is
+        finite, (r', c') = TwoSum(s2, e2) is the new pair, and r' / members
+        is bit for bit the fsum mean ``aggregate_batch`` gives."""
+        r, c = self.sums
+        with np.errstate(invalid="ignore", over="ignore"):
+            s1, t1 = _two_sum(r, -old)
+            s2, t2 = _two_sum(s1, new)
+            e1, x1 = _two_sum(c, t1)
+            e2, x2 = _two_sum(e1, t2)
+            if x1.any() or x2.any():
+                return None
+            r, c = _two_sum(s2, e2)
+            if not (np.abs(r) < DOUBLE_MAX).all():
+                return None
+        return SoftLabelChunk.from_sum(self.ids, r, c, members)
+
+
+def _member_predictions(models, features, temperature: float) -> list[np.ndarray]:
+    """Each model's temperature softmax of the rows of features; the rows
+    are laid out class-major once, so no member's first layer copies them."""
+    x = np.ascontiguousarray(np.asarray(features, dtype=np.float64).T).T
+    return [predict_batch(m, x, temperature) for m in models]
 
 
 def subensemble_soft_labels(models, point_ids, features,
@@ -550,7 +661,20 @@ def subensemble_soft_labels(models, point_ids, features,
     """Per-point exact mean of each member's temperature-softmax output."""
     if not models:
         raise ValueError("subensemble must contain at least one model")
-    # laid out class-major once, so no member's first layer copies the features
-    x = np.ascontiguousarray(np.asarray(features, dtype=np.float64).T).T
-    mats = [predict_batch(m, x, temperature) for m in models]
+    return SoftLabelChunk(point_ids, aggregate_batch(
+        _member_predictions(models, features, temperature)))
+
+
+def summed_soft_labels(models, point_ids, features,
+                       temperature: float) -> SoftLabelChunk:
+    """``subensemble_soft_labels`` that also keeps the exact member sum on
+    the chunk, where the cascade certifies it everywhere (as on every
+    softmax stack measured); otherwise the chunk keeps none."""
+    if not models:
+        raise ValueError("subensemble must contain at least one model")
+    mats = _member_predictions(models, features, temperature)
+    with np.errstate(invalid="ignore", over="ignore"):
+        r, c, bound = _cascade(mats)
+    if _certified(r, bound):
+        return SoftLabelChunk.from_sum(point_ids, r, c, len(mats))
     return SoftLabelChunk(point_ids, aggregate_batch(mats))

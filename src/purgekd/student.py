@@ -31,7 +31,8 @@ from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan, even_split_sizes, make_partition
 from .errors import NotFoundError
 from .model import (SEED_STUDENT, SEED_STUDENT_PLAN, ModelArch, ModelState,
-                    SoftLabelChunk, TrainHyper, mix_seed, subensemble_soft_labels)
+                    SoftLabelChunk, TrainHyper, mix_seed, subensemble_soft_labels,
+                    summed_soft_labels)
 from .teacher import TrainBudget
 
 MODES = ("purge", "naive_sisa", "single_teacher")
@@ -182,16 +183,47 @@ def run_student_round(state: ModelState, k: int, l: int, j: int,
     return state, steps
 
 
+def _chunk_points(plan: PartitionPlan, dataset: Dataset, k: int, l: int):
+    """(point ids, features) of chunk (k, l), in plan order."""
+    bounds = plan.chunk_bounds(k, l)
+    rows = plan.shard_rows(k)[bounds[0]:bounds[-1]]
+    return dataset.ids.take(rows), dataset.features.take(rows, axis=0)
+
+
 def generate_chunk_labels(mode: str, mapping: ConstituentMapping,
                           teacher_members, plan: PartitionPlan, dataset: Dataset,
                           k: int, l: int, temperature: float) -> SoftLabelChunk:
     """Soft labels for chunk (k, l) under the given labeling mode, in the
     chunk's plan order."""
-    bounds = plan.chunk_bounds(k, l)
-    rows = plan.shard_rows(k)[bounds[0]:bounds[-1]]
     return subensemble_soft_labels(
         [teacher_members[m - 1] for m in chunk_teacher_ids(mode, mapping, k, l)],
-        dataset.ids.take(rows), dataset.features.take(rows, axis=0), temperature)
+        *_chunk_points(plan, dataset, k, l), temperature)
+
+
+def relabel_chunk(net: StudentNetwork, teacher_members, k: int, l: int, member: int,
+                  old: ModelState) -> SoftLabelChunk:
+    """Soft labels for chunk (k, l) of net after teacher member changed
+    from state old to teacher_members[member - 1], every other teacher
+    unchanged since the chunk's cached labels were made.
+
+    A cached chunk that keeps its exact member sum has that member's term
+    replaced (``SoftLabelChunk.replaced``): two predictions instead of one
+    per member. Otherwise, or when the replacement cannot be certified
+    exact, the chunk is labeled in full like ``generate_chunk_labels``,
+    keeping its sum when its subensemble has 3 or more members (with 2, a
+    replacement costs as much as a full relabel)."""
+    ids, x = _chunk_points(net.plan, net.dataset, k, l)
+    x = np.ascontiguousarray(x.T).T  # class-major once, for every prediction below
+    members = [teacher_members[m - 1] for m in chunk_teacher_ids(net.mode, net.mapping, k, l)]
+    t, cached = net.hyper.temperature, net.soft_labels[(k, l)]
+    if cached.sums is not None:
+        chunk = cached.replaced(model.predict_batch(old, x, t),
+                                model.predict_batch(teacher_members[member - 1], x, t),
+                                len(members))
+        if chunk is not None:
+            return chunk
+    label = summed_soft_labels if len(members) >= 3 else subensemble_soft_labels
+    return label(members, ids, x, t)
 
 
 def student_structure(dataset: Dataset, slice_counts, seed: int, removed,

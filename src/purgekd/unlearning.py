@@ -7,15 +7,20 @@ replay. ``plan_removal`` reads the pre-removal system and names the teacher
 member to update (teacher-side and simultaneous requests) and, per student
 constituent, the first round to replay. ``apply_request`` carries the plan
 out: it updates the owning teacher member, drops a student point from its
-partition and cached labels, regenerates soft labels only for the chunks
-whose labeling subensemble contains the updated member, and replays each
-affected constituent once from its planned start. Labels of earlier chunks
-are byte-unchanged because their subensembles never contained the updated
-member. Both roles revert and replay through the one checkpointed lifecycle
-(``checkpoints.revert_and_replay``). ``verify_exactness`` takes the models
-it checks from the same plan and retrains them from scratch through the
-same lifecycle (``checkpoints.retrain``, one call per role, so models of one
-shape train in lockstep), writing no checkpoint.
+partition and cached labels, relabels only the chunks whose labeling
+subensemble contains the updated member, and replays each affected
+constituent once from its planned start. A relabel replaces the updated
+member's term in the chunk's exact member sum, kept on the chunk by its
+previous relabel (two predictions, not one per member), or falls back to
+a full relabel, which keeps the sum for the next one when the subensemble
+has 3 or more members; either gives the bits a full relabel gives. Labels
+of earlier chunks are byte-unchanged because their subensembles never
+contained the updated member. Both roles revert and replay through the one
+checkpointed lifecycle (``checkpoints.revert_and_replay``).
+``verify_exactness`` takes the models it checks from the same plan and
+retrains them from scratch through the same lifecycle
+(``checkpoints.retrain``, one call per role, so models of one shape train
+in lockstep), writing no checkpoint.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from .checkpoints import retrain, revert_and_replay
 from .costmodel import CostLedger
 from .errors import ConfigError, NotFoundError, ParseError
-from .student import generate_chunk_labels
+from .student import generate_chunk_labels, relabel_chunk
 from .teacher import teacher_unlearn
 
 REQUEST_KINDS = ("student_point", "teacher_point", "simultaneous")
@@ -102,9 +107,11 @@ def apply_request(system, request: UnlearnRequest):
 
     The teacher side SISA-updates the owning member; the student side drops
     the point from its partition and its cached soft labels. Every chunk
-    whose subensemble contains the updated member is then relabeled, and
-    each affected constituent replays once from its planned start, in
-    constituent order. Returns (system, report)."""
+    whose subensemble contains the updated member is then relabeled
+    (``student.relabel_chunk``): the member's term in the chunk's exact
+    member sum is replaced, old prediction by new, or the chunk falls back
+    to a full relabel. Each affected constituent then replays once from its
+    planned start, in constituent order. Returns (system, report)."""
     t0 = time.perf_counter()
     member, starts = plan_removal(system, request)
     pid = request.point_id
@@ -113,6 +120,7 @@ def apply_request(system, request: UnlearnRequest):
                            affected_student_constituents=tuple(sorted(starts)))
     reverted = []
     if member is not None:
+        old = system.teacher.members[member - 1]
         report.teacher_steps, rev = teacher_unlearn(
             system.teacher, pid, system.store, system.ledger)
         report.affected_teacher_members = (member,)
@@ -122,13 +130,11 @@ def apply_request(system, request: UnlearnRequest):
         net.plan.remove(pid)
         net.soft_labels[(k, l)] = net.soft_labels[(k, l)].without(pid)
     if member is not None:
-        relabeled, mapping = [], net.mapping
+        relabeled = []
         for (k, l), member_ids in sorted(net.provenance.items()):
             if member not in member_ids:
                 continue
-            chunk = generate_chunk_labels(
-                net.mode, mapping, system.teacher.members, net.plan,
-                net.dataset, k, l, net.hyper.temperature)
+            chunk = relabel_chunk(net, system.teacher.members, k, l, member, old)
             net.soft_labels[(k, l)] = chunk
             relabeled.append((k, l))
             count = len(chunk) * len(member_ids)

@@ -376,10 +376,10 @@ def test_criterion_7_numerical_substrate():
             targets = rng.dirichlet(np.ones(classes), size=n)
             # one full-batch training step at learning rate 1 moves the
             # parameters by minus the mean gradient
-            stepped = params.copy()[None]
-            _sgd(arch, stepped, np.vstack([x.T, np.ones(n)])[None], targets.T[None],
-                 1, n, 1.0)
-            analytic = params - stepped[0]
+            stepped = params.copy()
+            _sgd(arch, stepped, [(np.vstack([x.T, np.ones(n)])[None],
+                                  np.ascontiguousarray(targets.T)[None])], 1, 1.0)
+            analytic = params - stepped
             numeric = _finite_difference_gradient(arch, params, x, targets)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-4,
                                        atol=1e-7, err_msg=f"{kind} #{case}")

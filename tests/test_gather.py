@@ -2,8 +2,9 @@
 
 Every training round reads a prefix of its shard through the plan's row
 index. The test captures the arrays each round hands the training kernel
-(``model.train_stack``) while every teacher member and constituent retrains
-(``checkpoints.retrain``, no store). The reference rebuilds each round from
+(``model.train_stack``), read at the row indices it is handed, while every
+teacher member and constituent retrains (``checkpoints.retrain``, no
+store). The reference rebuilds each round from
 point ids instead, with its own copy of the partition kept as nested id
 lists: it looks the ids up with Dataset.rows_for, and each soft label up by
 its point id in its chunk.
@@ -36,13 +37,18 @@ def _teacher_reference(slices, dataset, m, j):
 
 def _trained_on(monkeypatch, net, k):
     """(features, soft, hard) that each round of model k of net hands the
-    training kernel, in round order, while k retrains from scratch."""
+    training kernel, in round order, while k retrains from scratch. A round
+    handed over as row indices into the dataset's arrays (a fourth item)
+    is read at those rows, as the kernel gathers it."""
     calls = []
     train_stack = model.train_stack
 
     def spy(states, rounds, epochs, hypers):
         rounds = list(rounds)
-        calls.extend(rounds)
+        for features, soft, hard, *rows in rounds:
+            if rows:
+                features, hard = features.take(rows[0], axis=0), hard.take(rows[0])
+            calls.append((features, soft, hard))
         return train_stack(states, rounds, epochs, hypers)
 
     with monkeypatch.context() as patch:

@@ -54,10 +54,10 @@ def flat_gradient(arch, params, x, targets):
     """Mean-over-batch gradient wrt the flat parameters, through the
     training kernel (class-major, bias-folded): one full-batch step at
     learning rate 1 moves the parameters by minus that gradient."""
-    n = len(x)
-    stepped = params.copy()[None]
-    _sgd(arch, stepped, np.vstack([x.T, np.ones(n)])[None], targets.T[None], 1, n, 1.0)
-    return params - stepped[0]
+    stepped = params.copy()
+    _sgd(arch, stepped, [(np.vstack([x.T, np.ones(len(x))])[None],
+                          np.ascontiguousarray(targets.T)[None])], 1, 1.0)
+    return params - stepped
 
 
 def reference_train(state, x, soft, hard, epochs, hyper):
