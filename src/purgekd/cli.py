@@ -18,8 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .checkpoints import CheckpointStore
-from .costmodel import (read_ledger_csv, simulate_teacher_requests, speedup_vs_n,
-                        write_ledger_csv)
+from .costmodel import (append_ledger_csv, read_ledger_csv, simulate_teacher_requests,
+                        speedup_vs_n, write_ledger_csv)
 from .data import SyntheticSpec, gen_synthetic, load_csv
 from .errors import ConfigError, DataError, NotFoundError, PartitionError, StorageError
 from .model import ModelArch, TrainHyper, mix_seed
@@ -264,6 +264,7 @@ def cmd_unlearn(args) -> int:
 
     failed = None
     write_ledger_csv(system.ledger, ledger_path)  # no request committed yet
+    written = len(system.ledger.entries)
     with open(out / "unlearn_reports.jsonl", "w", encoding="utf-8") as fh:
         for request in requests:
             before = snapshot(system) if args.verify else None
@@ -274,7 +275,9 @@ def cmd_unlearn(args) -> int:
             # Commit each applied request: a later one that fails leaves the run
             # whole, and the ledger holds the rows of exactly the committed ones.
             save_manifest(system, manifest, store_dir)
-            write_ledger_csv(system.ledger, ledger_path)
+            entries = system.ledger.entries
+            append_ledger_csv(entries[written:], ledger_path)
+            written = len(entries)
             doc = asdict(report)
             if args.verify:
                 verdict = verify_exactness(before, request, system)

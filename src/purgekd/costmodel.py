@@ -66,10 +66,14 @@ class CostLedger:
 
 def write_ledger_csv(ledger: CostLedger, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phase", "role", "constituent", "steps"])
-        for e in ledger.entries:
-            writer.writerow([e.phase, e.role, e.constituent, e.steps])
+        csv.writer(fh).writerow(["phase", "role", "constituent", "steps"])
+    append_ledger_csv(ledger.entries, path)
+
+
+def append_ledger_csv(entries, path) -> None:
+    """Append ledger entries to a file ``write_ledger_csv`` began."""
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([e.phase, e.role, e.constituent, e.steps] for e in entries)
 
 
 def read_ledger_csv(path) -> CostLedger:

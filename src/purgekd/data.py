@@ -237,6 +237,11 @@ class PartitionPlan:
         end of each of its slices."""
         return self._bounds[k - 1][l - 1]
 
+    def chunk_slice(self, k: int, l: int) -> slice:
+        """Chunk (k, l) as a range of shard k's rows."""
+        b = self._bounds[k - 1][l - 1]
+        return slice(b[0], b[-1])
+
     def shard_ids(self, k: int) -> list[int]:
         return self.dataset.ids[self._rows[k - 1]].tolist()
 
@@ -249,8 +254,7 @@ class PartitionPlan:
         return self.dataset.ids[self._rows[k - 1][b[j - 1]:b[j]]].tolist()
 
     def chunk_ids(self, k: int, l: int) -> list[int]:
-        b = self._bounds[k - 1][l - 1]
-        return self.dataset.ids[self._rows[k - 1][b[0]:b[-1]]].tolist()
+        return self.dataset.ids[self._rows[k - 1][self.chunk_slice(k, l)]].tolist()
 
     def all_ids(self) -> list[int]:
         return self.dataset.ids[np.concatenate(self._rows)].tolist()
@@ -273,8 +277,9 @@ class PartitionPlan:
         k, l, j = self._where[row].tolist()
         return k, l, j
 
-    def remove(self, point_id) -> None:
-        """Drop one point; the survivors keep their order and rows."""
+    def remove(self, point_id) -> int:
+        """Drop one point; the survivors keep their order and rows. Returns
+        the point's position in its shard's rows before the removal."""
         k, l, j = self.locate(point_id)
         row, rows = self._row(point_id), self._rows[k - 1]
         b = self._bounds[k - 1][l - 1]
@@ -283,6 +288,7 @@ class PartitionPlan:
         self._bounds[k - 1] = [tuple(o - (o > pos) for o in chunk)
                                for chunk in self._bounds[k - 1]]
         self._where[row] = 0
+        return pos
 
     def copy(self) -> "PartitionPlan":
         """Independent copy: shares the read-only shard arrays and the

@@ -49,10 +49,10 @@ exact and every sum is finite, as on every softmax stack measured, the
 cascade's rounded sum is the answer and nothing else runs. Otherwise exact
 ties are settled by the cascade itself; only elements whose rounding it
 cannot certify (near-ties within the error bound, non-finite values) fall
-back to a per-element ``math.fsum``. A chunk can keep its exact member sum
-as a two-term pair (``summed_soft_labels``), so that when one member
-changes, its old term is replaced by its new one with the same error-free
-transformations (``SoftLabelChunk.replaced``) instead of summing every
+back to a per-element ``math.fsum``. A caller can keep a subensemble's exact
+member sum as a two-term pair (``summed_soft_labels``), so that when one
+member changes, its old term is replaced by its new one with the same
+error-free transformations (``replace_term``) instead of summing every
 member again; a replacement the transformations cannot certify exact is
 refused, and the caller sums in full.
 """
@@ -512,15 +512,18 @@ def _cascade(mats):
     """The TwoSum cascade over the members of mats: (r, c) = TwoSum(s, e),
     s the float sum and e the float sum of its exact rounding errors, and
     a bound on the rounding of e itself. Where bound == 0, r + c is the
-    exact member sum."""
+    exact member sum. Non-finite members make NaNs here, which fail
+    ``_certified`` and the interval test of ``_fsum_mean``, so their
+    elements go to math.fsum."""
     s = mats[0]
     e = np.zeros_like(s)
     bound = np.zeros_like(s)
-    for a in mats[1:]:
-        s, t = _two_sum(s, a)
-        e, err = _two_sum(e, t)
-        bound += np.abs(err)
-    r, c = _two_sum(s, e)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a in mats[1:]:
+            s, t = _two_sum(s, a)
+            e, err = _two_sum(e, t)
+            bound += np.abs(err)
+        r, c = _two_sum(s, e)
     return r, c, bound
 
 
@@ -530,37 +533,24 @@ def _certified(r: np.ndarray, bound: np.ndarray) -> bool:
     return not bound.any() and bool((np.abs(r) < DOUBLE_MAX).all())
 
 
-def aggregate_batch(prediction_mats) -> np.ndarray:
-    """Element-wise mean of (n, K) prediction matrices, bit-equal to
-    ``math.fsum(values) / M`` for every element.
+def _fsum_mean(mats, r: np.ndarray, c: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """``math.fsum(values) / M`` for every element of the members mats,
+    finished from their cascade (r, c, bound).
 
-    A TwoSum cascade over the M members yields the float sum s, the sum e of
-    its exact rounding errors, and a bound on the rounding of e itself; the
-    true sum is then r + c + delta with (r, c) = TwoSum(s, e) and |delta| <=
-    bound. An element keeps r when bound == 0: every error sum was exact, so
-    s + e is the exact sum and r = fl(s + e) is already rounded to nearest,
-    ties to even, as fsum rounds. It also keeps r when c +- bound lies
-    strictly inside r's rounding interval (half an ulp on either side).
-    Every other element (a near-tie the bound cannot settle, a non-finite
-    value) goes through math.fsum.
-
-    When no bound is nonzero and every |r| is below the largest double
-    (each interval then has finite ends), every element keeps r, so r / M
-    is returned without the interval test; that is the mask the test would
-    give.
-    """
-    mats = [np.asarray(m, dtype=np.float64) for m in prediction_mats]
-    if not mats:
-        raise ValueError("aggregate needs at least one prediction matrix")
-    if mats[0].ndim != 2 or any(m.shape != mats[0].shape for m in mats):
-        raise DimensionError("prediction matrices must share one (n, K) shape")
-    # non-finite values make NaNs here; they fail the test below and go to fsum
+    The true sum is r + c + delta with |delta| <= bound. An element keeps r
+    when bound == 0: every error sum was exact, so s + e is the exact sum
+    and r = fl(s + e) is already rounded to nearest, ties to even, as fsum
+    rounds. It also keeps r when c +- bound lies strictly inside r's
+    rounding interval (half an ulp on either side). Every other element (a
+    near-tie the bound cannot settle, a non-finite value) goes through
+    math.fsum. When the cascade is certified, every element keeps r, so
+    r / M is returned without the interval test; that is the mask the test
+    would give."""
+    if _certified(r, bound):
+        return r / len(mats)
     with np.errstate(invalid="ignore", over="ignore"):
-        r, c, bound = _cascade(mats)
-        if _certified(r, bound):
-            return r / len(mats)
         # doubling covers the rounding of bound's own float sum of |err|
-        bound *= 2.0
+        bound = 2.0 * bound
         up = 0.5 * (np.nextafter(r, np.inf) - r)
         down = 0.5 * (r - np.nextafter(r, -np.inf))
         keep = (np.isfinite(up) & np.isfinite(down)
@@ -571,20 +561,48 @@ def aggregate_batch(prediction_mats) -> np.ndarray:
     return out
 
 
-class SoftLabelChunk:
-    """Ordered (point_id, probability vector) pairs for one chunk.
+def aggregate_batch(prediction_mats) -> np.ndarray:
+    """Element-wise mean of (n, K) prediction matrices, bit-equal to
+    ``math.fsum(values) / M`` for every element: a TwoSum cascade over the
+    M members (``_cascade``), finished by ``_fsum_mean``."""
+    mats = [np.asarray(m, dtype=np.float64) for m in prediction_mats]
+    if not mats:
+        raise ValueError("aggregate needs at least one prediction matrix")
+    if mats[0].ndim != 2 or any(m.shape != mats[0].shape for m in mats):
+        raise DimensionError("prediction matrices must share one (n, K) shape")
+    return _fsum_mean(mats, *_cascade(mats))
 
-    sums is None, or, on a chunk made by ``from_sum``, the chunk's exact
-    member sum as a two-term pair (r, c) of (n, K) arrays: r + c equals the
-    sum of the members' probabilities with no rounding, r is that sum
-    correctly rounded and probs is r / members. It lets an update of one
-    member replace that member's term (``replaced``) instead of summing
-    every member again."""
+
+def replace_term(r: np.ndarray, c: np.ndarray, old: np.ndarray, new: np.ndarray):
+    """The exact member sum (r, c) after one member's term changed from old
+    to new, all (n, K) in one row order, or None when the result cannot be
+    certified exact (then sum every member again).
+
+    With (s1, t1) = TwoSum(r, -old), (s2, t2) = TwoSum(s1, new),
+    (e1, x1) = TwoSum(c, t1) and (e2, x2) = TwoSum(e1, t2), the new exact
+    sum is s2 + e2 + x1 + x2. When every x1 and x2 is 0 (a NaN or infinity
+    anywhere makes one of them NaN) and the rounded sum is finite,
+    (r', c') = TwoSum(s2, e2) is the new pair, and r' / M is bit for bit
+    the fsum mean ``aggregate_batch`` gives."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        s1, t1 = _two_sum(r, -old)
+        s2, t2 = _two_sum(s1, new)
+        e1, x1 = _two_sum(c, t1)
+        e2, x2 = _two_sum(e1, t2)
+        if x1.any() or x2.any():
+            return None
+        r, c = _two_sum(s2, e2)
+    return (r, c) if (np.abs(r) < DOUBLE_MAX).all() else None
+
+
+class SoftLabelChunk:
+    """Ordered (point_id, probability vector) pairs for one chunk: what
+    ``subensemble_soft_labels`` returns and what a student network's
+    by-chunk ``soft_labels`` view holds."""
 
     def __init__(self, point_ids, probs):
         self.ids = np.asarray(point_ids, dtype=np.int64)
         self.probs = np.asarray(probs, dtype=np.float64)
-        self.sums = None
         if self.ids.ndim != 1 or self.probs.ndim != 2 or len(self.probs) != len(self.ids):
             raise DimensionError("need one probability row per point id")
         if len(self.probs):
@@ -592,15 +610,6 @@ class SoftLabelChunk:
                 raise ValueError("soft labels must be non-negative")
             if np.abs(self.probs.sum(axis=1) - 1.0).max() > 1e-9:
                 raise ValueError("soft labels must sum to 1 within 1e-9")
-
-    @classmethod
-    def from_sum(cls, point_ids, r: np.ndarray, c: np.ndarray,
-                 members: int) -> "SoftLabelChunk":
-        """The chunk of a subensemble of members whose exact member sum is
-        r + c, r the correctly rounded sum."""
-        chunk = cls(point_ids, r / members)
-        chunk.sums = (r, c)
-        return chunk
 
     @property
     def point_ids(self) -> tuple[int, ...]:
@@ -611,42 +620,6 @@ class SoftLabelChunk:
 
     def __contains__(self, point_id) -> bool:
         return bool((self.ids == int(point_id)).any())
-
-    def without(self, point_id) -> "SoftLabelChunk":
-        """Copy with one entry dropped, from the sums too; the remaining rows
-        keep their order and bits."""
-        keep = self.ids != int(point_id)
-        if keep.all():
-            raise KeyError(f"point {int(point_id)} has no soft label in this chunk")
-        chunk = SoftLabelChunk(self.ids[keep], self.probs[keep])
-        if self.sums is not None:
-            chunk.sums = tuple(a[keep] for a in self.sums)
-        return chunk
-
-    def replaced(self, old: np.ndarray, new: np.ndarray,
-                 members: int) -> "SoftLabelChunk | None":
-        """The chunk after one of its members' predictions changed from old
-        to new, both (n, K) in the chunk's row order, or None when the
-        result cannot be certified exact (then relabel in full).
-
-        With (s1, t1) = TwoSum(r, -old), (s2, t2) = TwoSum(s1, new),
-        (e1, x1) = TwoSum(c, t1) and (e2, x2) = TwoSum(e1, t2), the new exact
-        sum is s2 + e2 + x1 + x2. When every x1 and x2 is 0 (a NaN or
-        infinity anywhere makes one of them NaN) and the rounded sum is
-        finite, (r', c') = TwoSum(s2, e2) is the new pair, and r' / members
-        is bit for bit the fsum mean ``aggregate_batch`` gives."""
-        r, c = self.sums
-        with np.errstate(invalid="ignore", over="ignore"):
-            s1, t1 = _two_sum(r, -old)
-            s2, t2 = _two_sum(s1, new)
-            e1, x1 = _two_sum(c, t1)
-            e2, x2 = _two_sum(e1, t2)
-            if x1.any() or x2.any():
-                return None
-            r, c = _two_sum(s2, e2)
-            if not (np.abs(r) < DOUBLE_MAX).all():
-                return None
-        return SoftLabelChunk.from_sum(self.ids, r, c, members)
 
 
 def _member_predictions(models, features, temperature: float) -> list[np.ndarray]:
@@ -659,22 +632,17 @@ def _member_predictions(models, features, temperature: float) -> list[np.ndarray
 def subensemble_soft_labels(models, point_ids, features,
                             temperature: float = 1.0) -> SoftLabelChunk:
     """Per-point exact mean of each member's temperature-softmax output."""
-    if not models:
-        raise ValueError("subensemble must contain at least one model")
     return SoftLabelChunk(point_ids, aggregate_batch(
         _member_predictions(models, features, temperature)))
 
 
-def summed_soft_labels(models, point_ids, features,
-                       temperature: float) -> SoftLabelChunk:
-    """``subensemble_soft_labels`` that also keeps the exact member sum on
-    the chunk, where the cascade certifies it everywhere (as on every
-    softmax stack measured); otherwise the chunk keeps none."""
-    if not models:
-        raise ValueError("subensemble must contain at least one model")
+def summed_soft_labels(models, features, temperature: float):
+    """The exact-mean soft labels ``subensemble_soft_labels`` gives, and the
+    exact member sum as a pair (r, c) where the cascade certifies it
+    everywhere (as on every softmax stack measured), else None. The cascade
+    runs once: an uncertified one is finished into the mean."""
     mats = _member_predictions(models, features, temperature)
-    with np.errstate(invalid="ignore", over="ignore"):
-        r, c, bound = _cascade(mats)
+    r, c, bound = _cascade(mats)
     if _certified(r, bound):
-        return SoftLabelChunk.from_sum(point_ids, r, c, len(mats))
-    return SoftLabelChunk(point_ids, aggregate_batch(mats))
+        return r / len(mats), (r, c)
+    return _fsum_mean(mats, r, c, bound), None

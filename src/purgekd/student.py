@@ -6,11 +6,18 @@ next c_k teachers, one per chunk; the mapping is read off the plan's shape.
 Chunk l is soft-labeled by the subensemble of the first l teachers mapped to
 k; chunks are further sliced, and the constituent trains on its cumulative
 data (all earlier chunks plus slices 1..j of the current chunk) for the
-per-slice epoch budget, checkpointing after every round. The network is the
-student role of the lifecycle in ``checkpoints``: it supplies ``rounds``
-(which checks once per replay or retrain that the cached soft labels follow
-the plan's order, then joins them into one array that every round slices)
-and ``run_round``, which is ``run_student_round`` on the cached labels;
+per-slice epoch budget, checkpointing after every round.
+
+Constituent k keeps its soft labels as one (n_k, K) array, ``labels[k]``,
+whose row i labels ``plan.shard_rows(k)[i]``: a chunk is a range of rows
+and its ids come from the plan, so the labels follow the plan's order by
+construction. A removal deletes the point's row (``remove``); a relabel
+writes its chunks' rows into a new array (``relabel``). Where a chunk keeps
+its subensemble's exact member sum, ``sums`` holds it, row for row.
+
+The network is the student role of the lifecycle in ``checkpoints``: it
+supplies ``rounds``, each round's labels a prefix of ``labels[k]``, and
+``run_round``, which is ``run_student_round`` on them;
 ``checkpoints.retrain`` runs initial training and verification,
 constituents of one shape in lockstep; ``checkpoints.revert_and_replay``
 runs unlearning, one constituent at a time. Two baseline labeling modes
@@ -20,7 +27,9 @@ single_teacher chunk l with teacher l.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import ClassVar
 
 import numpy as np
@@ -28,11 +37,10 @@ import numpy as np
 from . import model
 from .checkpoints import CheckpointKey, CheckpointStore, gather_round, plan_rounds, retrain
 from .costmodel import CostLedger
-from .data import Dataset, PartitionPlan, even_split_sizes, make_partition
+from .data import Dataset, PartitionPlan, even_split_sizes
 from .errors import NotFoundError
-from .model import (SEED_STUDENT, SEED_STUDENT_PLAN, ModelArch, ModelState,
-                    SoftLabelChunk, TrainHyper, mix_seed, subensemble_soft_labels,
-                    summed_soft_labels)
+from .model import (SEED_STUDENT, ModelArch, ModelState, SoftLabelChunk, TrainHyper,
+                    subensemble_soft_labels, summed_soft_labels)
 from .teacher import TrainBudget
 
 MODES = ("purge", "naive_sisa", "single_teacher")
@@ -111,7 +119,8 @@ class StudentNetwork:
     plan: PartitionPlan
     dataset: Dataset
     mode: str
-    soft_labels: dict  # (k, l) -> SoftLabelChunk
+    labels: dict  # k -> (n_k, K) soft labels, row i for plan.shard_rows(k)[i]
+    sums: dict  # (k, l) -> exact member sum (r, c) of chunk (k, l), where kept
     budget: TrainBudget
     arch: ModelArch
     hyper: TrainHyper
@@ -133,26 +142,54 @@ class StudentNetwork:
                 for k in range(1, mapping.num_students + 1)
                 for l in range(1, mapping.chunk_count(k) + 1)}
 
+    @property
+    def soft_labels(self) -> MappingProxyType:
+        """Read-only (k, l) -> SoftLabelChunk view of the labels: each
+        chunk's ids read off the plan, and its rows of labels[k] as a view."""
+        view = {}
+        for k, labels in self.labels.items():
+            ids = self.dataset.ids.take(self.plan.shard_rows(k))
+            for l in range(1, self.plan.chunks_in_shard(k) + 1):
+                rows = self.plan.chunk_slice(k, l)
+                view[(k, l)] = SoftLabelChunk(ids[rows], labels[rows])
+        return MappingProxyType(view)
+
     def rounds(self, k):
-        """Rounds (l, j) of constituent k, in order, once the cached soft
-        labels of its chunks are checked to follow the plan's order: they
-        are joined into one array for this call, and each round's soft
-        labels are a prefix of it. Nothing keeps the array, so every call
-        sees the labels as they are then."""
-        ids = self.dataset.ids.take(self.plan.shard_rows(k))
-        chunks = [self.soft_labels[(k, l)] for l in range(1, self.plan.chunks_in_shard(k) + 1)]
-        for l, chunk in enumerate(chunks, start=1):
-            bounds = self.plan.chunk_bounds(k, l)
-            if not np.array_equal(chunk.ids, ids[bounds[0]:bounds[-1]]):
-                raise ValueError(f"soft labels of chunk {k},{l} do not follow the "
-                                 f"plan's order")
-        return plan_rounds(self.plan, k, np.concatenate([c.probs for c in chunks]))
+        """Rounds (l, j) of constituent k, in order; each round's soft labels
+        are a prefix of labels[k]."""
+        return plan_rounds(self.plan, k, self.labels[k])
 
     def run_round(self, state, k, r, epochs, hyper_k, store, ledger, phase):
         """Round r of constituent k for ``checkpoints.replay``, on its soft
         labels."""
         return run_student_round(state, k, r.l, r.j, self.plan, self.dataset, r.targets,
                                  None, epochs, hyper_k, None, store, ledger, phase)
+
+    def remove(self, point_id) -> None:
+        """Drop a point from the plan, with its row of soft labels and of its
+        chunk's kept member sum; the other rows keep their order and bits."""
+        k, l, _ = self.plan.locate(point_id)
+        pos = self.plan.remove(point_id)
+        self.labels[k] = np.delete(self.labels[k], pos, axis=0)
+        if (k, l) in self.sums:
+            at = pos - self.plan.chunk_slice(k, l).start
+            self.sums[(k, l)] = tuple(np.delete(a, at, axis=0) for a in self.sums[(k, l)])
+
+    def relabel(self, teacher_members, member: int, old: ModelState) -> dict:
+        """Relabel every chunk whose subensemble contains teacher member,
+        which changed from state old to teacher_members[member - 1]
+        (``relabel_chunk``), into one new array per constituent. Returns
+        {(k, l): the chunk's teacher ids} of the chunks relabeled, in order."""
+        done = {kl: ms for kl, ms in self.provenance.items() if member in ms}
+        labels = {k: self.labels[k].copy() for k, _ in done}
+        for k, l in done:
+            probs, pair = relabel_chunk(self, teacher_members, k, l, member, old)
+            labels[k][self.plan.chunk_slice(k, l)] = probs
+            self.sums.pop((k, l), None)
+            if pair is not None:
+                self.sums[(k, l)] = pair
+        self.labels.update(labels)
+        return done
 
 
 def run_student_round(state: ModelState, k: int, l: int, j: int,
@@ -165,13 +202,13 @@ def run_student_round(state: ModelState, k: int, l: int, j: int,
     k), account the steps and, unless store is None, store the checkpoint.
     Returns (state, steps).
 
-    soft_labels is the round's own soft labels as one array, or the cached
-    soft labels by chunk, (k, l) -> SoftLabelChunk in plan order. provenance
-    and alpha are unused (hyper_k carries the hard-label weight); they stay
-    in the signature only because the benchmark under bench/ calls this
-    function positionally, with the labels by chunk, until its next change
-    drops them."""
-    if isinstance(soft_labels, dict):
+    soft_labels is the round's own soft labels as one array, or the
+    network's ``soft_labels`` view by chunk. provenance and alpha are
+    unused (hyper_k carries the hard-label weight); they stay in the
+    signature only because the benchmark under bench/ calls this function
+    positionally, with the labels by chunk, until its next change drops
+    them."""
+    if isinstance(soft_labels, Mapping):
         soft_labels = np.concatenate([soft_labels[(k, i)].probs for i in range(1, l + 1)])[
             :plan.chunk_bounds(k, l)[j]]
     x, soft, hard = gather_round(plan, dataset, k, soft_labels)
@@ -183,76 +220,71 @@ def run_student_round(state: ModelState, k: int, l: int, j: int,
     return state, steps
 
 
-def _chunk_points(plan: PartitionPlan, dataset: Dataset, k: int, l: int):
+def _chunk_points(plan: PartitionPlan, k: int, l: int):
     """(point ids, features) of chunk (k, l), in plan order."""
-    bounds = plan.chunk_bounds(k, l)
-    rows = plan.shard_rows(k)[bounds[0]:bounds[-1]]
-    return dataset.ids.take(rows), dataset.features.take(rows, axis=0)
+    rows = plan.shard_rows(k)[plan.chunk_slice(k, l)]
+    return plan.dataset.ids.take(rows), plan.dataset.features.take(rows, axis=0)
 
 
-def generate_chunk_labels(mode: str, mapping: ConstituentMapping,
-                          teacher_members, plan: PartitionPlan, dataset: Dataset,
-                          k: int, l: int, temperature: float) -> SoftLabelChunk:
-    """Soft labels for chunk (k, l) under the given labeling mode, in the
-    chunk's plan order."""
+def generate_chunk_labels(mode: str, mapping: ConstituentMapping, teacher_members,
+                          plan: PartitionPlan, k: int, l: int,
+                          temperature: float) -> np.ndarray:
+    """Soft labels for chunk (k, l) under the given labeling mode, one row
+    per point in the chunk's plan order."""
     return subensemble_soft_labels(
         [teacher_members[m - 1] for m in chunk_teacher_ids(mode, mapping, k, l)],
-        *_chunk_points(plan, dataset, k, l), temperature)
+        *_chunk_points(plan, k, l), temperature).probs
+
+
+def student_labels(mode: str, teacher_members, plan: PartitionPlan, ks,
+                   temperature: float) -> dict:
+    """k -> the soft labels of shard k of plan, for each k in ks: its
+    chunks' (``generate_chunk_labels``) joined in plan order."""
+    mapping = ConstituentMapping(tuple(map(len, plan.slice_counts())))
+    return {k: np.concatenate([generate_chunk_labels(mode, mapping, teacher_members, plan,
+                                                     k, l, temperature)
+                               for l in range(1, plan.chunks_in_shard(k) + 1)])
+            for k in ks}
 
 
 def relabel_chunk(net: StudentNetwork, teacher_members, k: int, l: int, member: int,
-                  old: ModelState) -> SoftLabelChunk:
+                  old: ModelState):
     """Soft labels for chunk (k, l) of net after teacher member changed
     from state old to teacher_members[member - 1], every other teacher
-    unchanged since the chunk's cached labels were made.
+    unchanged since the chunk's labels were made. Returns (labels, sums):
+    the chunk's rows in plan order, and its exact member sum (r, c) to keep
+    for its next relabel, or None.
 
-    A cached chunk that keeps its exact member sum has that member's term
-    replaced (``SoftLabelChunk.replaced``): two predictions instead of one
-    per member. Otherwise, or when the replacement cannot be certified
-    exact, the chunk is labeled in full like ``generate_chunk_labels``,
-    keeping its sum when its subensemble has 3 or more members (with 2, a
-    replacement costs as much as a full relabel)."""
-    ids, x = _chunk_points(net.plan, net.dataset, k, l)
+    A chunk that keeps its exact member sum has that member's term replaced
+    (``model.replace_term``): two predictions instead of one per member.
+    Otherwise, or when the replacement cannot be certified exact, the chunk
+    is labeled in full like ``generate_chunk_labels``, keeping its sum when
+    its subensemble has 3 or more members (with 2, a replacement costs as
+    much as a full relabel)."""
+    ids, x = _chunk_points(net.plan, k, l)
     x = np.ascontiguousarray(x.T).T  # class-major once, for every prediction below
     members = [teacher_members[m - 1] for m in chunk_teacher_ids(net.mode, net.mapping, k, l)]
-    t, cached = net.hyper.temperature, net.soft_labels[(k, l)]
-    if cached.sums is not None:
-        chunk = cached.replaced(model.predict_batch(old, x, t),
-                                model.predict_batch(teacher_members[member - 1], x, t),
-                                len(members))
-        if chunk is not None:
-            return chunk
-    label = summed_soft_labels if len(members) >= 3 else subensemble_soft_labels
-    return label(members, ids, x, t)
+    t, sums = net.hyper.temperature, net.sums.get((k, l))
+    if sums is not None:
+        sums = model.replace_term(*sums, model.predict_batch(old, x, t),
+                                  model.predict_batch(teacher_members[member - 1], x, t))
+        if sums is not None:
+            return sums[0] / len(members), sums
+    if len(members) >= 3:
+        return summed_soft_labels(members, x, t)
+    return subensemble_soft_labels(members, ids, x, t).probs, None
 
 
-def student_structure(dataset: Dataset, slice_counts, seed: int, removed,
-                      teacher_members, mode: str, temperature: float):
-    """A student network's plan, drawn with seed in the shape slice_counts
-    minus the removed ids, and every chunk's soft labels under the mapping
-    that shape fixes. Returns (plan, soft_labels)."""
-    plan = make_partition(dataset, slice_counts, seed, removed)
-    mapping = ConstituentMapping(tuple(map(len, slice_counts)))
-    soft_labels = {(k, l): generate_chunk_labels(mode, mapping, teacher_members, plan,
-                                                 dataset, k, l, temperature)
-                   for k in range(1, mapping.num_students + 1)
-                   for l in range(1, mapping.chunk_count(k) + 1)}
-    return plan, soft_labels
-
-
-def train_student_network(dataset: Dataset, teacher_members, slice_counts,
-                          budget: TrainBudget, arch: ModelArch, hyper: TrainHyper,
-                          store: CheckpointStore, ledger: CostLedger, mode: str,
-                          seed: int) -> StudentNetwork:
-    """Build the structure in the nested shape slice_counts, whose row k
-    holds R_{k,l} for each chunk of constituent k (student_structure), then
-    train every constituent from scratch, those of one shape in lockstep
-    (checkpoints.retrain)."""
-    plan, soft_labels = student_structure(
-        dataset, slice_counts, mix_seed(seed, SEED_STUDENT_PLAN), (),
-        teacher_members, mode, hyper.temperature)
-    network = StudentNetwork([], plan, dataset, mode, soft_labels,
-                             budget, arch, hyper, seed)
+def train_student_network(plan: PartitionPlan, teacher_members, budget: TrainBudget,
+                          arch: ModelArch, hyper: TrainHyper, store: CheckpointStore,
+                          ledger: CostLedger, mode: str, seed: int) -> StudentNetwork:
+    """Label every chunk of plan, whose shard k holds constituent k's data
+    (``student_labels``), then train every constituent from scratch, those
+    of one shape in lockstep (``checkpoints.retrain``)."""
+    labels = student_labels(mode, teacher_members, plan, range(1, plan.num_shards + 1),
+                            hyper.temperature)
+    network = StudentNetwork([], plan, plan.dataset, mode, labels, {}, budget, arch,
+                             hyper, seed)
     network.constituents = retrain(network, range(1, plan.num_shards + 1), store,
                                    ledger, "initial_train")
     return network

@@ -18,7 +18,7 @@ with ParseError, an array whose header is malformed, whose dtype or rank is
 not the one a save writes, that is in Fortran order or cut short, and any
 bytes after the third array.
 A load builds each role through the constructors training uses
-(``make_partition``, ``student_structure``); label inference is
+(``make_partition``, ``student_labels``); label inference is
 row-independent, so derived soft labels equal the cached ones bit for bit.
 Reruns write byte-identical files.
 
@@ -46,7 +46,7 @@ from .costmodel import CostLedger
 from .data import Dataset, PartitionPlan, make_partition
 from .errors import ConfigError, NotFoundError, ParseError, PartitionError, StorageError
 from .model import SEED_STUDENT_PLAN, ModelArch, TrainHyper, kernel_fingerprint, mix_seed
-from .student import (MODES, StudentNetwork, build_mapping, student_structure,
+from .student import (MODES, StudentNetwork, build_mapping, student_labels,
                       train_student_network)
 from .teacher import TeacherEnsemble, TrainBudget, train_teacher_ensemble
 
@@ -97,28 +97,29 @@ def train_system(*, student_dataset: Dataset, teacher_dataset: Dataset | None,
         if arch.num_classes != student_dataset.num_classes:
             raise ConfigError(f"{name} arch expects {arch.num_classes} classes, "
                               f"dataset has {student_dataset.num_classes}")
-    # A trial draw, repeated by train_student_network: raises PartitionError now.
-    make_partition(student_dataset, slices_per_chunk, mix_seed(seed, SEED_STUDENT_PLAN))
+    # drawn before any teacher trains: a shape the data cannot fill raises now
+    plan = make_partition(student_dataset, slices_per_chunk, mix_seed(seed, SEED_STUDENT_PLAN))
     budget = TrainBudget(e_prime)
     ledger = CostLedger()
     teacher = train_teacher_ensemble(tds, teacher_members, teacher_slices, budget,
                                      teacher_arch, teacher_hyper, store, ledger,
                                      seed)
-    student = train_student_network(student_dataset, teacher.members, slices_per_chunk,
-                                    budget, student_arch, student_hyper, store,
-                                    ledger, mode, seed)
+    student = train_student_network(plan, teacher.members, budget, student_arch,
+                                    student_hyper, store, ledger, mode, seed)
     return TrainedSystem(seed, shared, teacher, student, store, ledger, budget)
 
 
 def snapshot(system: TrainedSystem) -> TrainedSystem:
     """Read-only copy of the mutable parts (states, plans, labels) for
-    before/after comparisons; shares the datasets, store and ledger."""
+    before/after comparisons; shares the datasets, store and ledger, and
+    the label arrays, which a change replaces rather than writes."""
     t, s = system.teacher, system.student
     return replace(system,
                    teacher=replace(t, members=[m.copy() for m in t.members],
                                    plan=t.plan.copy()),
                    student=replace(s, constituents=[c.copy() for c in s.constituents],
-                                   plan=s.plan.copy(), soft_labels=dict(s.soft_labels)))
+                                   plan=s.plan.copy(), labels=dict(s.labels),
+                                   sums=dict(s.sums)))
 
 
 # ----------------------------------------------------------------------------
@@ -301,15 +302,15 @@ def _system_from(doc: dict, path: Path) -> TrainedSystem:
     teacher_plan = make_partition(teacher_dataset, *_plan_args(tdoc["plan"]))
     members = _final_states(store, "teacher", teacher_plan)
     hyper = TrainHyper(**sdoc["hyper"])
-    student_plan, soft_labels = student_structure(
-        student_dataset, *_plan_args(sdoc["plan"]), members, sdoc["mode"],
-        hyper.temperature)
+    student_plan = make_partition(student_dataset, *_plan_args(sdoc["plan"]))
+    labels = student_labels(sdoc["mode"], members, student_plan,
+                            range(1, student_plan.num_shards + 1), hyper.temperature)
     teacher = TeacherEnsemble(members, teacher_plan, teacher_dataset, budget,
                               ModelArch(**tdoc["arch"]), TrainHyper(**tdoc["hyper"]),
                               seed)
     student = StudentNetwork(_final_states(store, "student", student_plan), student_plan,
-                             student_dataset, sdoc["mode"], soft_labels,
-                             budget, ModelArch(**sdoc["arch"]), hyper, seed)
+                             student_dataset, sdoc["mode"], labels, {}, budget,
+                             ModelArch(**sdoc["arch"]), hyper, seed)
     if (tdoc["members"], sdoc["constituents"], len(members)) != (
             len(members), student_plan.num_shards, student.mapping.num_teachers):
         raise ValueError("teacher.members, student.constituents or a plan's shape disagree")

@@ -10,17 +10,20 @@ out: it updates the owning teacher member, drops a student point from its
 partition and cached labels, relabels only the chunks whose labeling
 subensemble contains the updated member, and replays each affected
 constituent once from its planned start. A relabel replaces the updated
-member's term in the chunk's exact member sum, kept on the chunk by its
-previous relabel (two predictions, not one per member), or falls back to
-a full relabel, which keeps the sum for the next one when the subensemble
-has 3 or more members; either gives the bits a full relabel gives. Labels
+member's term in the chunk's exact member sum, kept by the network since
+the chunk's previous relabel (two predictions, not one per member), or
+falls back to a full relabel, which keeps the sum for the next one when
+the subensemble has 3 or more members; either gives the bits a full
+relabel gives. Labels
 of earlier chunks are byte-unchanged because their subensembles never
 contained the updated member. Both roles revert and replay through the one
 checkpointed lifecycle (``checkpoints.revert_and_replay``).
 ``verify_exactness`` takes the models it checks from the same plan and
 retrains them from scratch through the same lifecycle
 (``checkpoints.retrain``, one call per role, so models of one shape train
-in lockstep), writing no checkpoint.
+in lockstep), writing no checkpoint, and compares each retrained
+constituent's cached labels with labels derived from the current teachers,
+chunk by chunk.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from .checkpoints import retrain, revert_and_replay
 from .costmodel import CostLedger
 from .errors import ConfigError, NotFoundError, ParseError
-from .student import generate_chunk_labels, relabel_chunk
+from .student import student_labels
 from .teacher import teacher_unlearn
 
 REQUEST_KINDS = ("student_point", "teacher_point", "simultaneous")
@@ -106,9 +109,9 @@ def apply_request(system, request: UnlearnRequest):
     """Remove the request's point and replay what saw it.
 
     The teacher side SISA-updates the owning member; the student side drops
-    the point from its partition and its cached soft labels. Every chunk
-    whose subensemble contains the updated member is then relabeled
-    (``student.relabel_chunk``): the member's term in the chunk's exact
+    the point from its partition and its soft labels. Every chunk whose
+    subensemble contains the updated member is then relabeled
+    (``StudentNetwork.relabel``): the member's term in the chunk's exact
     member sum is replaced, old prediction by new, or the chunk falls back
     to a full relabel. Each affected constituent then replays once from its
     planned start, in constituent order. Returns (system, report)."""
@@ -126,21 +129,15 @@ def apply_request(system, request: UnlearnRequest):
         report.affected_teacher_members = (member,)
         reverted.append(rev)
     if request.kind != "teacher_point":
-        k, l, _ = net.plan.locate(pid)
-        net.plan.remove(pid)
-        net.soft_labels[(k, l)] = net.soft_labels[(k, l)].without(pid)
+        net.remove(pid)
     if member is not None:
-        relabeled = []
-        for (k, l), member_ids in sorted(net.provenance.items()):
-            if member not in member_ids:
-                continue
-            chunk = relabel_chunk(net, system.teacher.members, k, l, member, old)
-            net.soft_labels[(k, l)] = chunk
-            relabeled.append((k, l))
-            count = len(chunk) * len(member_ids)
+        relabeled = net.relabel(system.teacher.members, member, old)
+        report.chunks_relabeled = tuple(relabeled)
+        for (k, l), member_ids in relabeled.items():
+            rows = net.plan.chunk_slice(k, l)
+            count = (rows.stop - rows.start) * len(member_ids)
             report.relabel_inference += count
             system.ledger.add("relabel_inference", "student", k, count)
-        report.chunks_relabeled = tuple(relabeled)
     for k in sorted(starts):
         net.constituents[k - 1], steps, rev = revert_and_replay(
             net, k, *starts[k], system.store, system.ledger, "student_retrain")
@@ -182,7 +179,7 @@ def verify_exactness(system_before, request: UnlearnRequest,
     t_ms = () if member is None else (member,)
     s_ks = tuple(sorted(starts))
     t, net = system_after.teacher, system_after.student
-    mapping, failures = net.mapping, []
+    failures = []
     for name, touched, before, after in (
             ("teacher", t_ms, system_before.teacher.members, t.members),
             ("constituent", s_ks, system_before.student.constituents, net.constituents)):
@@ -198,17 +195,18 @@ def verify_exactness(system_before, request: UnlearnRequest,
 
     for m, scratch in zip(t_ms, retrain(t, t_ms, None, CostLedger(), "initial_train")):
         compare(f"teacher {m}", scratch, t.members[m - 1])
-    soft = {(k, l): generate_chunk_labels(net.mode, mapping, t.members, net.plan,
-                                          net.dataset, k, l, net.hyper.temperature)
-            for k in s_ks for l in range(1, net.plan.chunks_in_shard(k) + 1)}
-    scratches = retrain(replace(net, soft_labels=soft), s_ks, None, CostLedger(),
+    labels = student_labels(net.mode, t.members, net.plan, s_ks, net.hyper.temperature)
+    scratches = retrain(replace(net, labels=labels), s_ks, None, CostLedger(),
                         "initial_train")
     for k, scratch in zip(s_ks, scratches):
         compare(f"constituent {k}", scratch, net.constituents[k - 1])
+        derived, cached = labels[k], net.labels[k]
+        if len(cached) != len(derived):
+            failures.append(f"constituent {k}: {len(cached)} cached label rows for "
+                            f"{len(derived)} shard rows")
         for l in range(1, net.plan.chunks_in_shard(k) + 1):
-            chunk, cached = soft[(k, l)], net.soft_labels[(k, l)]
-            if (not np.array_equal(chunk.ids, cached.ids)
-                    or not np.array_equal(chunk.probs, cached.probs)):
+            rows = net.plan.chunk_slice(k, l)
+            if not np.array_equal(derived[rows], cached[rows]):
                 failures.append(f"constituent {k}: cached labels of chunk {l} "
                                 "do not match the current teachers")
     return VerificationVerdict(not failures, max(diffs), t_ms, s_ks, tuple(failures))

@@ -16,13 +16,13 @@ from purgekd import (CheckpointStore, CostLedger, Dataset, ModelArch,
                      SyntheticSpec, TrainBudget, TrainHyper, build_mapping,
                      ceiling_effect_bound, evaluate_accuracy,
                      expected_student_unlearn_fraction, gen_synthetic,
-                     generate_requests, init_model, loss_trace, predict_batch,
-                     simulate_teacher_requests, snapshot, speedup_vs_m,
-                     speedup_vs_n, apply_request, train_student_network,
+                     generate_requests, init_model, loss_trace, make_partition,
+                     mix_seed, predict_batch, simulate_teacher_requests, snapshot,
+                     speedup_vs_m, speedup_vs_n, apply_request, train_student_network,
                      train_system, train_teacher_ensemble, verify_exactness)
 from purgekd.checkpoints import CheckpointKey, decode_record, encode_record
 from purgekd.costmodel import avg_retrain_steps, brute_force_avg_steps
-from purgekd.model import _sgd
+from purgekd.model import SEED_STUDENT_PLAN, _sgd
 from purgekd.student import train_student_network as _tsn  # noqa: F401
 
 
@@ -285,9 +285,11 @@ def parity_runs(tmp_path_factory):
                 else ("purge", "naive_sisa")
             for mode in modes:
                 store = CheckpointStore(root / f"s{seed}_{n}_{mode}")
+                shape = [[r] * c for c in build_mapping(members, n).chunk_counts]
                 net = train_student_network(
-                    dataset=train_ds, teacher_members=teacher.members,
-                    slice_counts=[[r] * c for c in build_mapping(members, n).chunk_counts],
+                    plan=make_partition(train_ds, shape,
+                                        mix_seed(10 + seed, SEED_STUDENT_PLAN)),
+                    teacher_members=teacher.members,
                     budget=TrainBudget(e_prime), arch=student_arch,
                     hyper=TrainHyper(learning_rate=0.3, batch_size=16, seed=2),
                     store=store, ledger=CostLedger(), mode=mode,

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from purgekd import cli
 from purgekd.cli import main
+from purgekd.costmodel import read_ledger_csv, write_ledger_csv
 from purgekd.system import MANIFEST_VERSION, load_system
 
 BASE_CONFIG = {
@@ -212,6 +214,28 @@ class TestUnlearn:
         ledger = (one / "ledger_unlearn.csv").read_text().splitlines()
         assert len(ledger) > 1 and ledger[1].startswith("student_retrain,")
         assert (stopped / "ledger_unlearn.csv").read_text().splitlines() == ledger
+
+    def test_ledger_rows_are_appended_per_request(self, config_path, tmp_path,
+                                                  monkeypatch):
+        """The ledger file is begun once, then each committed request appends
+        its rows: the file ends as the whole ledger, one header, and the
+        steps of every report."""
+        out = _train(config_path, tmp_path / "run")
+        plan = load_system(out / "system.json").student.plan
+        stream = tmp_path / "stream.csv"
+        stream.write_text("seq,target_kind,point_id\n" + "".join(
+            f"{seq},student_point,{plan.slice_ids(seq, 1, 1)[0]}\n" for seq in (1, 2)))
+        begun = []
+        monkeypatch.setattr(cli, "write_ledger_csv",
+                            lambda *args: begun.append(write_ledger_csv(*args)))
+        assert main(["unlearn", "--system", str(out), "--requests", str(stream)]) == 0
+        assert len(begun) == 1
+        rows = (out / "ledger_unlearn.csv").read_text().splitlines()
+        assert rows[0] == "phase,role,constituent,steps" and "phase" not in "".join(rows[1:])
+        reports = [json.loads(line) for line in
+                   (out / "unlearn_reports.jsonl").read_text().splitlines()]
+        assert read_ledger_csv(out / "ledger_unlearn.csv").total("student_retrain") == \
+            sum(r["student_steps"] for r in reports) > 0
 
     def test_corrupt_store_exits_3(self, config_path, tmp_path, capsys):
         out = _train(config_path, tmp_path / "run")

@@ -13,9 +13,9 @@ its point id in its chunk.
 import numpy as np
 import pytest
 
-from purgekd import CostLedger, SoftLabelChunk, UnlearnRequest, apply_request
+from purgekd import CostLedger, UnlearnRequest, apply_request
 from purgekd import model, one_hot
-from purgekd.checkpoints import retrain, revert_and_replay
+from purgekd.checkpoints import retrain
 
 
 def _student_reference(slices, dataset, soft_labels, k, l, j):
@@ -139,23 +139,3 @@ class TestRoundGather:
             _check_every_round(monkeypatch, system, s_ref, t_ref)
         assert system.student.plan.slice_ids(1, 1, 3) == []
 
-
-class TestPlanOrderInvariant:
-    def test_out_of_order_labels_refused(self, fine_system):
-        net = fine_system.student
-        chunk = net.soft_labels[(1, 1)]
-        net.soft_labels[(1, 1)] = SoftLabelChunk(chunk.ids[::-1], chunk.probs[::-1])
-        with pytest.raises(ValueError, match="plan's order"):
-            net.rounds(1)
-        # a replay from chunk 2 reads chunk 1 in full, so it checks chunk 1 too
-        with pytest.raises(ValueError, match="plan's order"):
-            revert_and_replay(net, 1, 2, 1, fine_system.store, CostLedger(),
-                              "student_retrain")
-
-    def test_stale_labels_refused(self, fine_system):
-        """Labels still holding a point the plan dropped are refused rather
-        than sliced one row off."""
-        net = fine_system.student
-        net.plan.remove(net.plan.chunk_ids(2, 1)[0])
-        with pytest.raises(ValueError, match="plan's order"):
-            net.rounds(2)

@@ -665,15 +665,6 @@ class TestSoftLabelChunk:
         assert 99 not in chunk
         assert len(chunk) == 5
 
-    def test_without_keeps_survivor_bits(self):
-        rng = np.random.default_rng(42)
-        probs = rng.dirichlet(np.ones(4), size=6)
-        chunk = SoftLabelChunk(point_ids=tuple(range(6)), probs=probs)
-        smaller = chunk.without(3)
-        assert smaller.point_ids == (0, 1, 2, 4, 5)
-        np.testing.assert_array_equal(smaller.probs,
-                                      probs[[0, 1, 2, 4, 5]])
-
     def test_rows_must_normalize(self):
         with pytest.raises(ValueError):
             SoftLabelChunk(point_ids=(1,), probs=np.array([[0.5, 0.4]]))

@@ -7,9 +7,10 @@ import pytest
 from purgekd import (CheckpointKey, CheckpointStore, CostLedger, ModelArch,
                      TrainBudget, TrainHyper, UnlearnRequest, aggregate_batch,
                      apply_request, build_mapping, chunk_teacher_ids,
-                     evaluate_accuracy, load_system, loss_trace, predict_batch,
-                     save_manifest, train_student_network,
+                     evaluate_accuracy, load_system, loss_trace, make_partition,
+                     mix_seed, predict_batch, save_manifest, train_student_network,
                      train_teacher_ensemble)
+from purgekd.model import SEED_STUDENT_PLAN
 
 
 @pytest.fixture
@@ -29,9 +30,9 @@ def _train_student(dataset, ensemble, store, ledger, mode="purge",
                    constituents=2, slices=2, e_prime=8, seed=11):
     counts = build_mapping(ensemble.member_count, constituents).chunk_counts
     return train_student_network(
-        dataset=dataset, teacher_members=ensemble.members,
-        slice_counts=[[slices] * c for c in counts],
-        budget=TrainBudget(e_prime),
+        plan=make_partition(dataset, [[slices] * c for c in counts],
+                            mix_seed(seed, SEED_STUDENT_PLAN)),
+        teacher_members=ensemble.members, budget=TrainBudget(e_prime),
         arch=ModelArch("softmax_linear", dataset.feature_dim,
                        dataset.num_classes),
         hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=2),
@@ -115,8 +116,9 @@ class TestLabels:
         when the mapping gives the constituents different chunk counts."""
         ensemble, _, ledger = teacher_parts
         net = train_student_network(
-            dataset=small_dataset, teacher_members=ensemble.members,
-            slice_counts=[[2, 2, 2], [2]], budget=TrainBudget(8),
+            plan=make_partition(small_dataset, [[2, 2, 2], [2]],
+                                mix_seed(11, SEED_STUDENT_PLAN)),
+            teacher_members=ensemble.members, budget=TrainBudget(8),
             arch=ModelArch("softmax_linear", 5, 3),
             hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=2),
             store=CheckpointStore(tmp_path / "s"), ledger=ledger,
@@ -132,6 +134,31 @@ class TestLabels:
         net = _train_student(small_dataset, ensemble, store, ledger)
         for (k, l), chunk in net.soft_labels.items():
             assert sorted(chunk.point_ids) == sorted(net.plan.chunk_ids(k, l))
+
+    def test_soft_labels_view_is_read_only(self, small_dataset, teacher_parts,
+                                           tmp_path):
+        """The by-chunk view's rows are the network's labels; the view
+        itself takes no assignment."""
+        ensemble, _, ledger = teacher_parts
+        net = _train_student(small_dataset, ensemble, CheckpointStore(tmp_path / "s"),
+                             ledger)
+        chunk = net.soft_labels[(1, 2)]
+        assert np.shares_memory(chunk.probs, net.labels[1])
+        with pytest.raises(TypeError):
+            net.soft_labels[(1, 2)] = chunk
+
+    def test_remove_keeps_survivor_bits(self, small_dataset, teacher_parts, tmp_path):
+        """Removing a point deletes its label row alone: every other row of
+        its shard keeps its order and bits."""
+        ensemble, _, ledger = teacher_parts
+        net = _train_student(small_dataset, ensemble, CheckpointStore(tmp_path / "s"),
+                             ledger)
+        ids = net.plan.shard_ids(1)
+        before = net.labels[1]
+        net.remove(net.plan.chunk_ids(1, 2)[1])
+        pos = ids.index(net.plan.chunk_ids(1, 2)[0]) + 1
+        assert net.plan.shard_ids(1) == ids[:pos] + ids[pos + 1:]
+        assert net.labels[1].tobytes() == np.delete(before, pos, axis=0).tobytes()
 
 
 class TestTrainingLayout:

@@ -11,8 +11,8 @@ import pytest
 from purgekd import (CheckpointStore, ConfigError, ModelArch, NotFoundError,
                      ParseError, SyntheticSpec, TrainHyper, UnlearnRequest,
                      apply_request, gen_synthetic, generate_requests,
-                     is_aligned, parse_request_stream, snapshot, train_system,
-                     verify_exactness, write_request_stream)
+                     is_aligned, load_system, parse_request_stream, save_manifest,
+                     snapshot, train_system, verify_exactness, write_request_stream)
 
 
 @pytest.fixture
@@ -392,6 +392,39 @@ class TestSequentialStreams:
             verdict = verify_exactness(before, request, system)
             assert verdict.passed, (request, verdict.failures)
 
+    def test_benchmark_shape_stream_verified_across_a_reload(self, tmp_path):
+        """The medium shape the benchmark runs, built directly: d = 32,
+        K = 10, one hidden layer of 32 units, 4 constituents of 4 chunks of
+        1,250 points, purge mode. Eight requests of every kind, aligned and
+        misaligned simultaneous ones included, each verified against a
+        scratch retrain, with a save and load after the fourth."""
+        dataset = gen_synthetic(SyntheticSpec(num_classes=10, points_per_class=2000,
+                                              feature_dim=32, seed=1))
+        arch = ModelArch("one_hidden_layer", 32, 10, 32)
+        system = train_system(
+            student_dataset=dataset, teacher_dataset=None, teacher_members=16,
+            teacher_slices=4, student_constituents=4, slices_per_chunk=4,
+            mode="purge", e_prime=10, teacher_arch=arch, student_arch=arch,
+            teacher_hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=2),
+            student_hyper=TrainHyper(learning_rate=0.1, batch_size=32, seed=3),
+            store=CheckpointStore(tmp_path / "ckpt"), seed=1)
+        assert {len(system.student.plan.chunk_ids(k, l))
+                for k in range(1, 5) for l in range(1, 5)} == {1250}
+        requests = generate_requests(
+            system, 8, {"student_point": 2, "teacher_point": 2,
+                        "simultaneous_aligned": 2, "simultaneous_misaligned": 2}, seed=3)
+        aligned = [is_aligned(system, r.point_id) for r in requests
+                   if r.kind == "simultaneous"]
+        assert sorted(aligned) == [False, False, True, True]
+        for n, request in enumerate(requests, start=1):
+            before = snapshot(system)
+            apply_request(system, request)
+            verdict = verify_exactness(before, request, system)
+            assert verdict.passed, (request, verdict.failures)
+            if n == 4:
+                save_manifest(system, tmp_path / "system.json", "ckpt")
+                system = load_system(tmp_path / "system.json")
+
     def test_report_steps_match_ledger_increments(self, system_factory):
         system = system_factory()
         requests = generate_requests(
@@ -425,13 +458,23 @@ class TestVerificationOracle:
         victim = system.student.plan.slice_ids(2, 2, 1)[0]
         before = snapshot(system)
         request = UnlearnRequest(1, "student_point", victim)
-        # fake it: drop the point from the plan but keep the old parameters
-        system.student.plan.remove(victim)
-        k, l, _ = before.student.plan.locate(victim)
-        system.student.soft_labels[(k, l)] = \
-            system.student.soft_labels[(k, l)].without(victim)
+        # fake it: drop the point and its label but keep the old parameters
+        system.student.remove(victim)
         verdict = verify_exactness(before, request, system)
         assert not verdict.passed
+
+    def test_detects_stale_label_rows(self, system_factory):
+        """Labels still holding a row for a point the plan dropped are
+        flagged, not sliced one row off."""
+        system = system_factory()
+        victim = system.student.plan.slice_ids(2, 1, 1)[0]
+        before = snapshot(system)
+        request = UnlearnRequest(1, "student_point", victim)
+        system.student.plan.remove(victim)  # the label row stays
+        verdict = verify_exactness(before, request, system)
+        n = len(system.student.plan.shard_rows(2))
+        assert f"constituent 2: {n + 1} cached label rows for {n} shard rows" \
+            in verdict.failures
 
     def test_keeps_no_checkpoint(self, system_factory, monkeypatch):
         """Verification retrains into no store: it saves no checkpoint and
